@@ -10,10 +10,11 @@
 //      small parse-time cost;
 //  (d) vectorization: rows/sec for scan+filter, hash join and aggregation
 //      across batch sizes {1, 64, 1024, 4096}, against the tuple-at-a-time
-//      baseline (batch size 1 drained through the row adapter — the old
-//      Volcano discipline). PASS gates: >= 2x on scan+filter and hash join
-//      at batch size 1024, and the vectorized default must never fall
-//      below the tuple baseline. Used as a CI smoke gate (exit 1 on FAIL).
+//      baseline (batch size 1, each row materialized into a Tuple as it is
+//      drained — the old Volcano discipline). PASS gates: >= 2x on
+//      scan+filter and hash join at batch size 1024, and the vectorized
+//      default must never fall below the tuple baseline. Used as a CI
+//      smoke gate (exit 1 on FAIL).
 //
 // The (d) sweep runs first; the google-benchmark suites follow.
 
@@ -201,8 +202,10 @@ void BM_Construct(benchmark::State& state) {
       "CONSTRUCT <row id=$k><payload>$l</payload></row>");
   for (auto _ : state) {
     auto scan = MakeIntScan("k", "l", n, 1, n);
-    auto doc = algebra::ConstructResult(scan.get(), *query->construct);
-    benchmark::DoNotOptimize(doc);
+    NodePtr doc = Node::Element("results");
+    auto rows = algebra::ConstructResult(scan.get(), *query->construct,
+                                         doc.get());
+    benchmark::DoNotOptimize(rows);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
@@ -273,26 +276,25 @@ double NowMs() {
       .count();
 }
 
-/// Drains one fresh plan; row_adapter selects Next() (the tuple-at-a-time
-/// consumer) over NextBatch(). Returns elapsed milliseconds, best of 3.
-double TimeDrain(const SweepCase& sweep, size_t batch_size,
-                 bool row_adapter) {
+/// Drains one fresh plan through NextBatch(); `per_row` also materializes
+/// every row into a Tuple, as a tuple-at-a-time consumer would. Returns
+/// elapsed milliseconds, best of 3.
+double TimeDrain(const SweepCase& sweep, size_t batch_size, bool per_row) {
   double best = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
     std::unique_ptr<algebra::Operator> plan = sweep.make();
     plan->SetBatchSize(batch_size);
     double start = NowMs();
     if (plan->Open().ok()) {
-      if (row_adapter) {
-        while (true) {
-          auto tuple = plan->Next();
-          if (!tuple.ok() || !tuple->has_value()) break;
-          benchmark::DoNotOptimize(*tuple);
-        }
-      } else {
-        while (true) {
-          auto batch = plan->NextBatch();
-          if (!batch.ok() || !batch->has_value()) break;
+      while (true) {
+        auto batch = plan->NextBatch();
+        if (!batch.ok() || !batch->has_value()) break;
+        if (per_row) {
+          for (size_t i = 0; i < (*batch)->size(); ++i) {
+            algebra::Tuple tuple = (*batch)->MaterializeTuple(i);
+            benchmark::DoNotOptimize(tuple);
+          }
+        } else {
           benchmark::DoNotOptimize(*batch);
         }
       }
@@ -311,20 +313,20 @@ double RowsPerSec(size_t rows, double ms) {
 /// Returns false on any gate failure.
 bool RunBatchSweep() {
   std::printf("E7(d): vectorized batch execution — rows/sec by batch size\n"
-              "(baseline = batch size 1 drained row-at-a-time through the "
-              "Next() adapter)\n\n");
+              "(baseline = batch size 1, every row materialized into a "
+              "tuple)\n\n");
   bench::PrintRow({"workload", "batch", "rows/sec", "vs baseline"});
   bench::PrintRule(4);
   bool pass = true;
   for (const SweepCase& sweep : kSweepCases) {
-    const double baseline_ms = TimeDrain(sweep, 1, /*row_adapter=*/true);
+    const double baseline_ms = TimeDrain(sweep, 1, /*per_row=*/true);
     const double baseline_rps = RowsPerSec(sweep.input_rows, baseline_ms);
     bench::PrintRow({sweep.name, "1 (rows)",
                      bench::FmtInt(static_cast<int64_t>(baseline_rps)),
                      "1.0x"});
     double speedup_at_default = 0.0;
     for (size_t batch_size : kSweepSizes) {
-      const double ms = TimeDrain(sweep, batch_size, /*row_adapter=*/false);
+      const double ms = TimeDrain(sweep, batch_size, /*per_row=*/false);
       const double rps = RowsPerSec(sweep.input_rows, ms);
       const double speedup = rps / std::max(baseline_rps, 1e-9);
       if (batch_size == 1024) speedup_at_default = speedup;

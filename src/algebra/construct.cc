@@ -82,19 +82,24 @@ Result<NodePtr> InstantiateTemplate(const xmlql::TemplateNode& tmpl,
   return result;
 }
 
-Result<NodePtr> ConstructResult(Operator* plan, const xmlql::TemplateNode& tmpl,
-                                const std::string& root_name) {
-  NodePtr root = Node::Element(root_name);
+Result<size_t> ConstructResult(Operator* plan, const xmlql::TemplateNode& tmpl,
+                               Node* root) {
   NIMBLE_RETURN_IF_ERROR(plan->Open());
+  size_t rows = 0;
   while (true) {
-    NIMBLE_ASSIGN_OR_RETURN(std::optional<Tuple> tuple, plan->Next());
-    if (!tuple.has_value()) break;
-    NIMBLE_ASSIGN_OR_RETURN(NodePtr instance,
-                            InstantiateTemplate(tmpl, plan->schema(), *tuple));
-    root->AddChild(std::move(instance));
+    NIMBLE_ASSIGN_OR_RETURN(std::optional<TupleBatch> batch,
+                            plan->NextBatch());
+    if (!batch.has_value()) break;
+    rows += batch->size();
+    for (size_t i = 0; i < batch->size(); ++i) {
+      NIMBLE_ASSIGN_OR_RETURN(NodePtr instance,
+                              InstantiateTemplate(tmpl, plan->schema(),
+                                                  batch->MaterializeTuple(i)));
+      root->AddChild(std::move(instance));
+    }
   }
   plan->Close();
-  return root;
+  return rows;
 }
 
 }  // namespace algebra

@@ -1,8 +1,6 @@
 #ifndef NIMBLE_ALGEBRA_CONSTRUCT_H_
 #define NIMBLE_ALGEBRA_CONSTRUCT_H_
 
-#include <string>
-
 #include "algebra/operators.h"
 #include "algebra/tuple.h"
 #include "common/result.h"
@@ -19,12 +17,11 @@ Result<NodePtr> InstantiateTemplate(const xmlql::TemplateNode& tmpl,
                                     const TupleSchema& schema,
                                     const Tuple& tuple);
 
-/// Drains `plan` and instantiates the template per tuple, collecting the
-/// instances under a root element named `root_name`. This is the top of
-/// every physical plan.
-Result<NodePtr> ConstructResult(Operator* plan,
-                                const xmlql::TemplateNode& tmpl,
-                                const std::string& root_name = "results");
+/// Opens and drains `plan` batch-at-a-time, instantiating the template per
+/// row under `root`, then closes it. This is the top of every physical
+/// plan. Returns the number of rows drained.
+Result<size_t> ConstructResult(Operator* plan, const xmlql::TemplateNode& tmpl,
+                               Node* root);
 
 }  // namespace algebra
 }  // namespace nimble

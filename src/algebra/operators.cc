@@ -94,8 +94,6 @@ bool BoundCondition::EvaluateAt(const TupleBatch& batch, size_t i) const {
 Status Operator::Open() {
   batches_produced_ = 0;
   rows_produced_ = 0;
-  adapter_batch_.reset();
-  adapter_pos_ = 0;
   return DoOpen();
 }
 
@@ -123,21 +121,7 @@ Result<std::optional<TupleBatch>> Operator::NextBatch() {
   }
 }
 
-Result<std::optional<Tuple>> Operator::Next() {
-  while (true) {
-    if (adapter_batch_.has_value() && adapter_pos_ < adapter_batch_->size()) {
-      return std::optional<Tuple>(
-          adapter_batch_->MaterializeTuple(adapter_pos_++));
-    }
-    NIMBLE_ASSIGN_OR_RETURN(adapter_batch_, NextBatch());
-    adapter_pos_ = 0;
-    if (!adapter_batch_.has_value()) return std::optional<Tuple>{};
-  }
-}
-
 void Operator::Close() {
-  adapter_batch_.reset();
-  adapter_pos_ = 0;
   // Counters survive Close so EXPLAIN can report them post-execution.
   DoClose();
 }

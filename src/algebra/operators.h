@@ -50,8 +50,8 @@ using CancelProbe = std::function<Status()>;
 /// plans are built directly in terms of these operators, with no logical
 /// algebra in between. The iteration model is vectorized (DESIGN.md §2g):
 /// predicates shrink a selection vector over shared column storage, joins
-/// build and probe in batch, and a thin row adapter (`Next()`) keeps
-/// tuple-at-a-time callers (CONSTRUCT, tests, tools) working unchanged.
+/// build and probe in batch, and CONSTRUCT instantiates its template row by
+/// row out of each batch (algebra/construct.h).
 class Operator {
  public:
   /// Default rows per batch; EngineOptions::batch_size overrides per plan.
@@ -62,18 +62,13 @@ class Operator {
   virtual const TupleSchema& schema() const = 0;
   virtual std::string label() const = 0;
 
-  /// Resets iteration state (including the row adapter and the batch
-  /// counters) and performs the operator's bulk work.
+  /// Resets iteration state (including the batch counters) and performs
+  /// the operator's bulk work.
   Status Open();
 
   /// Yields the next non-empty batch, or nullopt at end of stream. The
   /// returned batch never has more than batch_size() active rows.
   Result<std::optional<TupleBatch>> NextBatch();
-
-  /// Row adapter over NextBatch(): yields one tuple at a time so
-  /// tuple-oriented callers migrate without a flag day. Mixing Next() and
-  /// NextBatch() on the same operator between Open/Close is not supported.
-  Result<std::optional<Tuple>> Next();
 
   void Close();
 
@@ -150,9 +145,6 @@ class Operator {
   size_t batches_produced_ = 0;
   size_t rows_produced_ = 0;
   double estimated_rows_ = -1.0;  ///< < 0 = no cost annotation.
-  /// Row-adapter state.
-  std::optional<TupleBatch> adapter_batch_;
-  size_t adapter_pos_ = 0;
 };
 
 /// Leaf yielding a pre-materialized columnar table (the output of pattern

@@ -12,7 +12,6 @@
 #include "core/sql_generator.h"
 #include "opt/cardinality.h"
 #include "opt/optimizer.h"
-#include "xmlql/parser.h"
 
 namespace nimble {
 namespace core {
@@ -258,6 +257,33 @@ Result<QueryResult> IntegrationEngine::ExecuteText(
 
 QueryHandlePtr IntegrationEngine::Submit(std::string xmlql_text,
                                          const QueryOptions& query_options) {
+  return SubmitRun(
+      [this, text = std::move(xmlql_text), query_options](
+          int64_t queue_wait_micros, const std::atomic<bool>* handle_cancel) {
+        return ExecuteTextNow(text, query_options, queue_wait_micros,
+                              handle_cancel);
+      },
+      query_options);
+}
+
+QueryHandlePtr IntegrationEngine::Submit(
+    std::shared_ptr<const CompiledProgram> compiled,
+    const QueryOptions& query_options) {
+  return SubmitRun(
+      [this, compiled = std::move(compiled), query_options](
+          int64_t queue_wait_micros,
+          const std::atomic<bool>* handle_cancel) -> Result<QueryResult> {
+        if (options_.verify_plans) {
+          NIMBLE_RETURN_IF_ERROR(VerifyCompiledProgram(*compiled, *catalog_));
+        }
+        return ExecuteFragmented(*compiled, query_options, queue_wait_micros,
+                                 handle_cancel);
+      },
+      query_options);
+}
+
+QueryHandlePtr IntegrationEngine::SubmitRun(SubmittedRun run,
+                                            const QueryOptions& query_options) {
   auto handle = std::make_shared<QueryHandle>();
   if (scheduler_ == nullptr) {
     // No admission control configured: run asynchronously, unqueued. The
@@ -267,13 +293,11 @@ QueryHandlePtr IntegrationEngine::Submit(std::string xmlql_text,
       MutexLock lock(inflight_mutex_);
       ++inflight_submits_;
     }
-    pool()->Submit(
-        [this, handle, text = std::move(xmlql_text), query_options] {
-          handle->Fulfill(
-              ExecuteTextNow(text, query_options, 0, &handle->cancel_));
-          MutexLock lock(inflight_mutex_);
-          if (--inflight_submits_ == 0) inflight_cv_.NotifyAll();
-        });
+    pool()->Submit([this, handle, run = std::move(run)] {
+      handle->Fulfill(run(0, &handle->cancel_));
+      MutexLock lock(inflight_mutex_);
+      if (--inflight_submits_ == 0) inflight_cv_.NotifyAll();
+    });
     return handle;
   }
   sched::SubmitInfo info;
@@ -286,10 +310,8 @@ QueryHandlePtr IntegrationEngine::Submit(std::string xmlql_text,
   info.cancel = &handle->cancel_;
   auto submission = scheduler_->Submit(
       info,
-      [this, handle, text = std::move(xmlql_text),
-       query_options](int64_t queue_wait_micros) {
-        handle->Fulfill(ExecuteTextNow(text, query_options, queue_wait_micros,
-                                       &handle->cancel_));
+      [handle, run = std::move(run)](int64_t queue_wait_micros) {
+        handle->Fulfill(run(queue_wait_micros, &handle->cancel_));
       },
       [handle](const Status& status) { handle->Fulfill(status); });
   if (!submission.ok()) {
@@ -316,8 +338,8 @@ Result<QueryResult> IntegrationEngine::ExecuteTextNow(
   // cancelling mid-execution on the shared singleflight path is
   // best-effort-none for the same reason.)
   if (result_cache_ == nullptr || query_options.cancel != nullptr) {
-    return ExecuteFragmented(compiled->program, compiled->fragmentations,
-                             query_options, queue_wait_micros, handle_cancel);
+    return ExecuteFragmented(*compiled, query_options, queue_wait_micros,
+                             handle_cancel);
   }
 
   QueryResult executed;
@@ -325,9 +347,8 @@ Result<QueryResult> IntegrationEngine::ExecuteTextNow(
   Result<ConstNodePtr> snapshot = result_cache_->LookupOrCompute(
       CanonicalizeQueryText(xmlql_text),
       [&]() -> Result<materialize::ResultCache::Computed> {
-        Result<QueryResult> result =
-            ExecuteFragmented(compiled->program, compiled->fragmentations,
-                              query_options, queue_wait_micros, nullptr);
+        Result<QueryResult> result = ExecuteFragmented(
+            *compiled, query_options, queue_wait_micros, nullptr);
         if (!result.ok()) return result.status();
         executed = std::move(*result);
         ran = true;
@@ -358,32 +379,9 @@ Result<QueryResult> IntegrationEngine::ExecuteTextNow(
   return result;
 }
 
-Result<QueryResult> IntegrationEngine::Execute(
-    const xmlql::Program& program, const QueryOptions& query_options) {
-  std::vector<Fragmentation> fragmentations;
-  fragmentations.reserve(program.branches.size());
-  for (const xmlql::Query& branch : program.branches) {
-    fragmentations.push_back(FragmentQuery(branch));
-  }
-  if (options_.verify_plans) {
-    CatalogResolver resolver(*catalog_);
-    xmlql::AnalysisOptions analysis;
-    analysis.resolver = &resolver;
-    analysis.strict = true;
-    NIMBLE_RETURN_IF_ERROR(xmlql::AnalyzeProgram(program, analysis));
-    for (size_t i = 0; i < program.branches.size(); ++i) {
-      NIMBLE_RETURN_IF_ERROR(VerifyFragmentation(program.branches[i],
-                                                 fragmentations[i], *catalog_));
-    }
-  }
-  return ExecuteFragmented(program, fragmentations, query_options);
-}
-
 Result<QueryResult> IntegrationEngine::ExecuteFragmented(
-    const xmlql::Program& program,
-    const std::vector<Fragmentation>& fragmentations,
-    const QueryOptions& query_options, int64_t queue_wait_micros,
-    const std::atomic<bool>* handle_cancel) {
+    const CompiledProgram& compiled, const QueryOptions& query_options,
+    int64_t queue_wait_micros, const std::atomic<bool>* handle_cancel) {
   queries_served_.fetch_add(1, std::memory_order_relaxed);
   RetryPolicy retry;
   retry.max_retries = options_.fetch_retries;
@@ -395,8 +393,8 @@ Result<QueryResult> IntegrationEngine::ExecuteFragmented(
   ExecutionContext ctx(clock(), pool(), options_.query_deadline_micros, retry,
                        options_.parallel_fetch, query_options.cancel,
                        queue_wait_micros, handle_cancel);
-  Result<QueryResult> result =
-      ExecuteInternal(program, fragmentations, query_options, 0, ctx);
+  Result<QueryResult> result = ExecuteInternal(
+      compiled.program, compiled.fragmentations, query_options, 0, ctx);
   if (result.ok()) ctx.FillReport(&result->report);
   return result;
 }
@@ -723,23 +721,9 @@ Status IntegrationEngine::ExecuteBranch(const xmlql::Query& query,
         algebra::VerifyPlanProducesVariables(**plan, required));
   }
 
-  // Drain the plan batch-at-a-time, instantiating the CONSTRUCT template
-  // per result row.
-  NIMBLE_RETURN_IF_ERROR((*plan)->Open());
-  size_t root_rows = 0;
-  while (true) {
-    Result<std::optional<algebra::TupleBatch>> batch = (*plan)->NextBatch();
-    if (!batch.ok()) return batch.status();
-    if (!(*batch).has_value()) break;
-    root_rows += (*batch)->size();
-    for (size_t i = 0; i < (*batch)->size(); ++i) {
-      Result<NodePtr> instance = algebra::InstantiateTemplate(
-          *query.construct, (*plan)->schema(), (*batch)->MaterializeTuple(i));
-      if (!instance.ok()) return instance.status();
-      out_root->AddChild(std::move(*instance));
-    }
-  }
-  (*plan)->Close();
+  NIMBLE_ASSIGN_OR_RETURN(
+      const size_t root_rows,
+      algebra::ConstructResult(plan->get(), *query.construct, out_root));
   // Counters survive Close(); render the executed plan with per-operator
   // batch/row production (and est_rows annotations) for EXPLAIN.
   report->plan_with_stats = (*plan)->DescribeWithStats();

@@ -2,6 +2,7 @@
 #define NIMBLE_CORE_ENGINE_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -244,7 +245,7 @@ using QueryHandlePtr = std::shared_ptr<QueryHandle>;
 /// fragments it by source, compiles relational fragments to SQL, runs the
 /// physical-algebra plan in the mediator, and constructs XML results.
 ///
-/// Execute/ExecuteText are safe to call from many threads at once (the
+/// ExecuteText/Submit are safe to call from many threads at once (the
 /// load balancer and the stress tests do); set_options is not — reconfigure
 /// only while no queries are in flight.
 class IntegrationEngine {
@@ -276,11 +277,15 @@ class IntegrationEngine {
   QueryHandlePtr Submit(std::string xmlql_text,
                         const QueryOptions& query_options = {});
 
-  /// Executes a parsed program (uncached: the caller owns the AST).
-  /// Bypasses admission control — callers holding a raw AST manage their
-  /// own concurrency.
-  Result<QueryResult> Execute(const xmlql::Program& program,
-                              const QueryOptions& query_options = {});
+  /// Asynchronous submit of an already compiled program — the
+  /// scatter-gather coordinator hands shard engines its rewritten AST this
+  /// way. Admission, cancellation and shutdown draining are the text
+  /// Submit's; neither cache is consulted. With `verify_plans` on, the
+  /// program is verified against this engine's catalog before it runs. The
+  /// task holds its own reference to `compiled`, so the caller may drop
+  /// the handle and the program before the query finishes.
+  QueryHandlePtr Submit(std::shared_ptr<const CompiledProgram> compiled,
+                        const QueryOptions& query_options = {});
 
   const EngineOptions& options() const { return options_; }
   void set_options(const EngineOptions& options);
@@ -348,6 +353,15 @@ class IntegrationEngine {
   /// `max_inflight_queries` is 0).
   void ConfigureScheduler();
 
+  /// What a submitted query runs once admitted: the time it spent queued
+  /// and its handle's cancel flag in, the query outcome out.
+  using SubmittedRun = std::function<Result<QueryResult>(
+      int64_t queue_wait_micros, const std::atomic<bool>* handle_cancel)>;
+  /// The one admission path behind both Submit overloads: through the
+  /// scheduler when one is configured, else straight onto the worker pool
+  /// (counted in `inflight_submits_` so the destructor waits for it).
+  QueryHandlePtr SubmitRun(SubmittedRun run, const QueryOptions& query_options);
+
   /// Synchronous execution core: the pre-scheduler ExecuteText body.
   /// `queue_wait_micros` (time already spent queued) is charged against the
   /// query deadline; `handle_cancel` is the async handle's cancel flag.
@@ -360,13 +374,10 @@ class IntegrationEngine {
   Result<std::shared_ptr<const CompiledProgram>> GetOrCompile(
       std::string_view text);
 
-  /// Full execution of a fragmented program (counts as a served query).
-  /// `fragmentations` lines up with `program.branches` and points into it.
+  /// Full execution of a compiled program (counts as a served query).
   Result<QueryResult> ExecuteFragmented(
-      const xmlql::Program& program,
-      const std::vector<Fragmentation>& fragmentations,
-      const QueryOptions& query_options, int64_t queue_wait_micros = 0,
-      const std::atomic<bool>* handle_cancel = nullptr);
+      const CompiledProgram& compiled, const QueryOptions& query_options,
+      int64_t queue_wait_micros, const std::atomic<bool>* handle_cancel);
 
   Result<QueryResult> ExecuteInternal(
       const xmlql::Program& program,

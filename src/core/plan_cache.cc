@@ -36,9 +36,7 @@ std::string CanonicalizeQueryText(std::string_view text) {
   return out;
 }
 
-Result<std::shared_ptr<const CompiledProgram>> CompileProgram(
-    std::string_view text) {
-  NIMBLE_ASSIGN_OR_RETURN(xmlql::Program program, xmlql::ParseProgram(text));
+std::shared_ptr<const CompiledProgram> CompileProgram(xmlql::Program program) {
   auto compiled = std::make_shared<CompiledProgram>();
   // Move the program into its final home *before* fragmenting: fragments
   // hold pointers into the AST, which must not relocate afterwards.
@@ -47,7 +45,13 @@ Result<std::shared_ptr<const CompiledProgram>> CompileProgram(
   for (const xmlql::Query& branch : compiled->program.branches) {
     compiled->fragmentations.push_back(FragmentQuery(branch));
   }
-  return std::shared_ptr<const CompiledProgram>(std::move(compiled));
+  return compiled;
+}
+
+Result<std::shared_ptr<const CompiledProgram>> CompileProgram(
+    std::string_view text) {
+  NIMBLE_ASSIGN_OR_RETURN(xmlql::Program program, xmlql::ParseProgram(text));
+  return CompileProgram(std::move(program));
 }
 
 std::shared_ptr<const CompiledProgram> PlanCache::Lookup(

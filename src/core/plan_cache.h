@@ -31,7 +31,11 @@ struct CompiledProgram {
 /// is dropped. Two spellings of the same query hit the same cache slot.
 std::string CanonicalizeQueryText(std::string_view text);
 
-/// Parses and fragments `text` into an immutable CompiledProgram.
+/// Fragments `program` into an immutable CompiledProgram. The program is
+/// moved into its final home first, because fragments point into the AST.
+std::shared_ptr<const CompiledProgram> CompileProgram(xmlql::Program program);
+
+/// Parses `text`, then compiles it as above.
 Result<std::shared_ptr<const CompiledProgram>> CompileProgram(
     std::string_view text);
 

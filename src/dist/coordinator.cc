@@ -13,7 +13,6 @@
 #include "dist/merge.h"
 #include "xml/serializer.h"
 #include "xmlql/parser.h"
-#include "xmlql/printer.h"
 
 namespace nimble {
 namespace dist {
@@ -206,7 +205,10 @@ struct Coordinator::BranchPlan {
   std::string source_name;
   std::string source_label;  ///< "source:collection".
   bool aggregate = false;
-  std::string shard_text;
+  /// The rewritten query every target shard runs. Shared by the shard
+  /// tasks, each of which holds its own reference: a straggler can outlive
+  /// the coordinator call that dispatched it.
+  std::shared_ptr<const core::CompiledProgram> shard_program;
   std::vector<size_t> target_shards;
   size_t pruned = 0;
   double est_rows = -1.0;
@@ -393,12 +395,9 @@ bool Coordinator::PlanBranch(const xmlql::Query& query, BranchPlan* plan,
     shard_query.order_by.clear();
   }
 
-  Result<std::string> printed = xmlql::PrintQuery(shard_query);
-  if (!printed.ok()) {
-    *reason = "rewrite not printable: " + printed.status().message();
-    return false;
-  }
-  plan->shard_text = std::move(*printed);
+  xmlql::Program shard_program;
+  shard_program.branches.push_back(std::move(shard_query));
+  plan->shard_program = core::CompileProgram(std::move(shard_program));
 
   // --- Shard pruning from the partition key -------------------------------
   std::vector<size_t> targets = plan->map->AllFragments();
@@ -495,6 +494,10 @@ Result<core::QueryResult> Coordinator::ExecuteScattered(
       local_.options().availability);
   core::QueryOptions shard_options = query_options;
   shard_options.availability = policy;
+  // A cancelled straggler outlives this call, so shard tasks must not hold
+  // the caller's flag. The gather loop polls it and cancels every shard
+  // through its own handle instead.
+  shard_options.cancel = nullptr;
 
   struct ShardRun {
     size_t shard = 0;
@@ -508,9 +511,8 @@ Result<core::QueryResult> Coordinator::ExecuteScattered(
     for (size_t shard : plans[b].target_shards) {
       ShardRun run;
       run.shard = shard;
-      run.handle =
-          cluster_->shard_engine(shard)->Submit(plans[b].shard_text,
-                                                shard_options);
+      run.handle = cluster_->shard_engine(shard)->Submit(
+          plans[b].shard_program, shard_options);
       runs[b].push_back(std::move(run));
       ++dispatched;
     }

@@ -47,12 +47,13 @@ struct CoordinatorCounters {
 /// sum/count/avg/min/max, LIMIT lifted to the gather side), prunes shards
 /// that cannot hold matching rows, and merges the shard answers into a
 /// result byte-identical to what one engine over the unsharded data in
-/// canonical order would produce.
+/// canonical order would produce. The rewrite is compiled once and handed
+/// to every target shard engine as an AST; shards never re-parse text.
 ///
 /// Anything it cannot prove distributable — multi-pattern joins, view
-/// sources, unsharded collections, unprintable rewrites — falls back to an
-/// owned local engine over the global (unsharded) catalog, so every query
-/// keeps working; distribution is purely an optimization.
+/// sources, unsharded collections — falls back to an owned local engine
+/// over the global (unsharded) catalog, so every query keeps working;
+/// distribution is purely an optimization.
 ///
 /// ExecuteText is safe to call from many threads at once.
 class Coordinator {
@@ -76,7 +77,7 @@ class Coordinator {
   struct BranchPlan;
 
   /// Decides scatterability of one branch and, when scatterable, fills the
-  /// plan (rewritten shard text, target shards, merge spec). Returns false
+  /// plan (compiled shard rewrite, target shards, merge spec). Returns false
   /// with a reason when the branch must fall back.
   bool PlanBranch(const xmlql::Query& query, BranchPlan* plan,
                   std::string* reason) const;

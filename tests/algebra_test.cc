@@ -287,11 +287,13 @@ TEST(ConstructTest, InstantiatesPerTuple) {
       "CONSTRUCT <row id=$a><val>$a</val></row>");
   ASSERT_TRUE(q.ok());
   auto scan = MakeScanPtr({"a"}, {{Value::Int(1)}, {Value::Int(2)}});
-  Result<NodePtr> doc = ConstructResult(scan.get(), *q->construct);
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ((*doc)->children().size(), 2u);
-  EXPECT_EQ((*doc)->children()[1]->GetAttribute("id"), Value::Int(2));
-  EXPECT_EQ((*doc)->children()[1]->FindChild("val")->ScalarValue(),
+  NodePtr doc = Node::Element("results");
+  Result<size_t> rows = ConstructResult(scan.get(), *q->construct, doc.get());
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(*rows, 2u);
+  EXPECT_EQ(doc->children().size(), 2u);
+  EXPECT_EQ(doc->children()[1]->GetAttribute("id"), Value::Int(2));
+  EXPECT_EQ(doc->children()[1]->FindChild("val")->ScalarValue(),
             Value::Int(2));
 }
 

@@ -15,11 +15,10 @@ namespace core {
 namespace {
 
 /// Differential property tests for the vectorized execution core: the same
-/// plan must produce the same rows in the same order regardless of
-/// (a) batch size — including the degenerate size 1, which exercises every
-/// operator's cross-batch resume state — and (b) whether the consumer
-/// drains batches via NextBatch() or rows via the thin Next() adapter.
-/// Divergence at any swept size is a vectorization bug by definition.
+/// plan must produce the same rows in the same order regardless of batch
+/// size — including the degenerate size 1, which exercises every
+/// operator's cross-batch resume state. Divergence at any swept size is a
+/// vectorization bug by definition.
 
 constexpr size_t kBatchSizes[] = {1, 3, 1024};
 
@@ -55,7 +54,7 @@ xmlql::Condition MakeCondition(const std::string& lhs_var,
 }
 
 /// The seven operator kinds plus a deep composite, as factories so each
-/// (batch size × drain mode) run gets a fresh tree.
+/// batch-size run gets a fresh tree.
 struct PlanShape {
   const char* name;
   std::unique_ptr<Operator> (*make)();
@@ -184,21 +183,7 @@ std::vector<std::string> DrainBatches(Operator* op) {
   return out;
 }
 
-/// Drains `op` one row at a time through the Next() adapter.
-std::vector<std::string> DrainRows(Operator* op) {
-  std::vector<std::string> out;
-  EXPECT_TRUE(op->Open().ok());
-  while (true) {
-    Result<std::optional<Tuple>> tuple = op->Next();
-    EXPECT_TRUE(tuple.ok()) << tuple.status().ToString();
-    if (!tuple.ok() || !tuple->has_value()) break;
-    out.push_back(RenderTuple(op->schema(), **tuple));
-  }
-  op->Close();
-  return out;
-}
-
-TEST(BatchDifferentialTest, PlanShapesAgreeAcrossBatchSizesAndDrainModes) {
+TEST(BatchDifferentialTest, PlanShapesAgreeAcrossBatchSizes) {
   for (const PlanShape& shape : kShapes) {
     // Reference: batch drain at the default (largest swept) size.
     std::unique_ptr<Operator> ref_plan = shape.make();
@@ -210,14 +195,7 @@ TEST(BatchDifferentialTest, PlanShapesAgreeAcrossBatchSizesAndDrainModes) {
       std::unique_ptr<Operator> batched = shape.make();
       batched->SetBatchSize(batch_size);
       EXPECT_EQ(DrainBatches(batched.get()), reference)
-          << shape.name << " diverges at batch_size=" << batch_size
-          << " (batch drain)";
-
-      std::unique_ptr<Operator> rowed = shape.make();
-      rowed->SetBatchSize(batch_size);
-      EXPECT_EQ(DrainRows(rowed.get()), reference)
-          << shape.name << " diverges at batch_size=" << batch_size
-          << " (row adapter)";
+          << shape.name << " diverges at batch_size=" << batch_size;
     }
   }
 }

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "frontend/load_balancer.h"
 #include "metadata/catalog.h"
 #include "sched/scheduler.h"
+#include "xml/serializer.h"
 
 namespace nimble {
 namespace {
@@ -528,6 +531,65 @@ TEST(EngineSchedulerTest, ExecuteTextThroughSchedulerMatchesDirect) {
   EXPECT_EQ(stats.submitted, 40u);
   EXPECT_EQ(stats.completed, 40u);
   EXPECT_EQ(stats.inflight_queries, 0u);
+}
+
+// A compiled program takes the text Submit's admission path: the scheduler
+// admits and accounts it like any other query, and it answers the same.
+TEST(EngineSchedulerTest, CompiledSubmitIsAdmittedLikeText) {
+  metadata::Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterSource(MakeStockFeed()).ok());
+
+  core::EngineOptions options;
+  options.max_inflight_queries = 1;
+  options.verify_plans = true;
+  core::IntegrationEngine engine(&catalog, options);
+  ASSERT_NE(engine.scheduler(), nullptr);
+
+  Result<std::shared_ptr<const core::CompiledProgram>> compiled =
+      core::CompileProgram(kStockQuery);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  core::QueryHandlePtr handle = engine.Submit(*compiled);
+  const Result<core::QueryResult>& got = handle->Wait();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  Result<core::QueryResult> want = engine.ExecuteText(kStockQuery);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(got->report.result_count, 2u);
+  EXPECT_EQ(ToXml(*got->document), ToXml(*want->document));
+
+  sched::SchedulerStats stats = engine.scheduler()->stats();
+  for (int i = 0; i < 2000 && stats.completed < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    stats = engine.scheduler()->stats();
+  }
+  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.admitted, 2u);
+  EXPECT_EQ(stats.completed, 2u);
+}
+
+// Compiled programs skip the parse, not the verifier: one naming a
+// collection this engine's catalog lacks fails with a Status.
+TEST(EngineSchedulerTest, CompiledSubmitVerifiesAgainstCatalog) {
+  metadata::Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterSource(MakeStockFeed()).ok());
+
+  core::EngineOptions options;
+  options.max_inflight_queries = 1;
+  options.verify_plans = true;
+  core::IntegrationEngine engine(&catalog, options);
+
+  Result<std::shared_ptr<const core::CompiledProgram>> compiled =
+      core::CompileProgram(
+          "WHERE <stock><item sku=$s></item></stock> IN \"wh:missing\" "
+          "CONSTRUCT <hit><sku>$s</sku></hit>");
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  core::QueryHandlePtr handle = engine.Submit(*compiled);
+  const Result<core::QueryResult>& got = handle->Wait();
+  ASSERT_FALSE(got.ok());
+  EXPECT_NE(got.status().code(), StatusCode::kInternal)
+      << got.status().ToString();
+  EXPECT_NE(got.status().message().find("missing"), std::string::npos)
+      << got.status().ToString();
+  EXPECT_EQ(engine.queries_served(), 0u) << "rejected only at execution";
 }
 
 TEST(EngineSchedulerTest, SubmitHandleCancelsQueuedQuery) {
