@@ -560,16 +560,23 @@ Status IntegrationEngine::ExecuteBranch(const xmlql::Query& query,
   // fragment sees the join-key sets of everything before it — the same
   // dataflow the old serial loop produced. Everything else is independent
   // and fetched concurrently under parallel_fetch.
-  std::vector<size_t> independent;
-  std::vector<size_t> chained;
-  if (options_.enable_bind_join && options_.enable_pushdown) {
+  //
+  // Capabilities are read once per fragment and only when pushdown may use
+  // them: a relational source answers under its database lock.
+  std::vector<connector::SourceCapabilities> caps(num_fragments);
+  if (options_.enable_pushdown) {
     for (size_t i = 0; i < num_fragments; ++i) {
       const xmlql::SourceRef& ref = fragmentation.fragments[i].pattern->source;
       connector::Connector* source =
           ref.is_view() ? nullptr : catalog_->source(ref.source);
-      bool sql_capable =
-          source != nullptr && source->capabilities().supports_sql;
-      (sql_capable ? chained : independent).push_back(i);
+      if (source != nullptr) caps[i] = source->capabilities();
+    }
+  }
+  std::vector<size_t> independent;
+  std::vector<size_t> chained;
+  if (options_.enable_bind_join && options_.enable_pushdown) {
+    for (size_t i = 0; i < num_fragments; ++i) {
+      (caps[i].supports_sql ? chained : independent).push_back(i);
     }
   } else {
     for (size_t i = 0; i < num_fragments; ++i) independent.push_back(i);
@@ -594,8 +601,9 @@ Status IntegrationEngine::ExecuteBranch(const xmlql::Query& query,
   auto evaluate = [&](size_t index,
                       const std::map<std::string, std::vector<Value>>* bind) {
     Result<FragmentResult> fr = EvaluateFragment(
-        fragmentation.fragments[index], query_options, view_depth, bind,
-        top_eligible ? &top : nullptr, &fragment_reports[index], ctx);
+        fragmentation.fragments[index], caps[index], query_options,
+        view_depth, bind, top_eligible ? &top : nullptr,
+        &fragment_reports[index], ctx);
     if (fr.ok()) {
       slots[index] = std::move(*fr);
     } else {
@@ -721,33 +729,22 @@ Status IntegrationEngine::ExecuteBranch(const xmlql::Query& query,
         algebra::VerifyPlanProducesVariables(**plan, required));
   }
 
-  NIMBLE_ASSIGN_OR_RETURN(
-      const size_t root_rows,
-      algebra::ConstructResult(plan->get(), *query.construct, out_root));
+  NIMBLE_RETURN_IF_ERROR(
+      algebra::ConstructResult(plan->get(), *query.construct, out_root)
+          .status());
   // Counters survive Close(); render the executed plan with per-operator
-  // batch/row production (and est_rows annotations) for EXPLAIN.
+  // batch/row production (and est_rows annotations) for EXPLAIN. A root
+  // estimate far from the actual rows does not advance the stats epoch:
+  // re-optimizing under unchanged statistics yields the same plan, and the
+  // epoch is global, so each bump would evict every cached plan. Epochs
+  // move when statistics do (scan-level feedback above, Analyze, writes).
   report->plan_with_stats = (*plan)->DescribeWithStats();
-  // Adaptive feedback, join level: a root estimate off by more than the
-  // replan factor advances the stats epoch, evicting this query's cached
-  // plan so the next execution re-optimizes. LIMIT truncates and
-  // aggregation collapses the output, so those comparisons would be false
-  // positives and are skipped.
-  if (options_.enable_cost_optimizer && (*plan)->has_estimated_rows() &&
-      query.limit < 0 && !query.IsAggregation()) {
-    const double factor =
-        std::max(options_.replan_estimate_error_factor, 1.0);
-    double est = std::max((*plan)->estimated_rows(), 1.0);
-    double actual = std::max(static_cast<double>(root_rows), 1.0);
-    if (est > actual * factor || actual > est * factor) {
-      catalog_->statistics().BumpEpoch();
-    }
-  }
   return Status::OK();
 }
 
 Result<IntegrationEngine::FragmentResult> IntegrationEngine::EvaluateFragment(
-    const Fragment& fragment, const QueryOptions& query_options,
-    int view_depth,
+    const Fragment& fragment, const connector::SourceCapabilities& caps,
+    const QueryOptions& query_options, int view_depth,
     const std::map<std::string, std::vector<Value>>* bind_values,
     const TopLevelPushdown* top_pushdown, ExecutionReport* report,
     ExecutionContext& ctx) {
@@ -860,8 +857,8 @@ Result<IntegrationEngine::FragmentResult> IntegrationEngine::EvaluateFragment(
                                       : nullptr;
       if (column != nullptr &&
           !cost_model.UseBindJoin(values.size(), column->distinct())) {
-        const bool has_index = source->capabilities().HasIndexOn(
-            source_ref.collection, column->name);
+        const bool has_index =
+            caps.HasIndexOn(source_ref.collection, column->name);
         if (!cost_model.UseIndexNestedLoop(
                 values.size(), static_cast<double>(col_stats->row_count),
                 has_index)) {
@@ -900,8 +897,7 @@ Result<IntegrationEngine::FragmentResult> IntegrationEngine::EvaluateFragment(
   // Try SQL pushdown first.
   if (options_.enable_pushdown) {
     Result<SqlTranslation> translation = TranslateFragmentToSql(
-        fragment, source->capabilities(),
-        /*push_predicates=*/true, effective_bind, top_pushdown);
+        fragment, caps, /*push_predicates=*/true, effective_bind, top_pushdown);
     if (translation.ok()) {
       Result<relational::ResultSet> rs = with_retries(
           [&] { return source->ExecuteSql(translation->sql, request); });

@@ -100,9 +100,9 @@ struct EngineOptions {
   /// Records sampled per collection by Analyze() (0 = all rows). Row
   /// counts are always exact; per-column detail comes from the sample.
   size_t analyze_sample_rows = 10000;
-  /// Adaptive replanning trigger: when an estimated cardinality is off
-  /// from the executor's observed row count by more than this factor (in
-  /// either direction), the statistics epoch advances and cached plans
+  /// Adaptive replanning trigger: when a collection's recorded row count
+  /// is off from the executor's observed count by more than this factor
+  /// (in either direction), the statistics epoch advances and cached plans
   /// re-optimize. Clamped to >= 1.
   double replan_estimate_error_factor = 10.0;
   /// Run the three-stage static-analysis pass (strict semantic analysis
@@ -398,11 +398,13 @@ class IntegrationEngine {
   /// `bind_values` (nullable) carries complete distinct join-key sets from
   /// already-evaluated fragments for semijoin pushdown. `top_pushdown`
   /// (nullable) carries query-level ORDER BY/LIMIT when this fragment is
-  /// the entire query. `report` is fragment- or branch-local; safe to call
-  /// concurrently for independent fragments with distinct reports.
+  /// the entire query. `caps` are the source's capabilities, read once per
+  /// fragment by the caller (default-constructed when pushdown is off or
+  /// the fragment reads a view). `report` is fragment- or branch-local; safe
+  /// to call concurrently for independent fragments with distinct reports.
   Result<FragmentResult> EvaluateFragment(
-      const Fragment& fragment, const QueryOptions& query_options,
-      int view_depth,
+      const Fragment& fragment, const connector::SourceCapabilities& caps,
+      const QueryOptions& query_options, int view_depth,
       const std::map<std::string, std::vector<Value>>* bind_values,
       const TopLevelPushdown* top_pushdown, ExecutionReport* report,
       ExecutionContext& ctx);

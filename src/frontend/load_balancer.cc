@@ -41,9 +41,8 @@ Result<core::QueryResult> LoadBalancer::Execute(
 }
 
 std::vector<Result<core::QueryResult>> LoadBalancer::ExecuteBatch(
-    const std::vector<std::string>& queries, const core::QueryOptions& options,
-    ThreadPool* pool) {
-  (void)pool;  // kept for API compatibility; see the header.
+    const std::vector<std::string>& queries,
+    const core::QueryOptions& options) {
   std::vector<Result<core::QueryResult>> results(
       queries.size(), Result<core::QueryResult>(Status::Internal("not run")));
   if (engines_.empty()) {

@@ -127,36 +127,40 @@ Result<ConstNodePtr> ResultCache::LookupOrCompute(const std::string& key,
 
   if (executed_compute != nullptr) *executed_compute = true;
   Result<Computed> computed = compute();
-  std::optional<Result<ConstNodePtr>> outcome;
-  if (computed.ok() && computed->document != nullptr) {
-    ConstNodePtr snapshot = computed->document->Freeze();
+  Result<ConstNodePtr> outcome =
+      Status::Internal("compute returned no document");
+  if (!computed.ok()) {
+    outcome = computed.status();
+  } else if (computed->document != nullptr) {
+    outcome = computed->document->Freeze();
+  }
+  {
     MutexLock lock(shard.mu);
-    if (computed->cacheable) {
-      InsertLocked(shard, key, snapshot, std::move(computed->tags),
-                   computed->ttl_micros);
+    // An invalidation during the compute detached this flight: its answer
+    // may predate the write, so only the waiters it already has share it,
+    // it is not stored, and the slot may now hold a newer flight.
+    auto it = shard.flights.find(key);
+    if (it != shard.flights.end() && it->second == flight) {
+      shard.flights.erase(it);
+      if (outcome.ok() && computed->cacheable) {
+        InsertLocked(shard, key, *outcome, std::move(computed->tags),
+                     computed->ttl_micros);
+      }
     }
-    shard.flights.erase(key);
-    outcome = snapshot;
-  } else {
-    Status error = computed.ok()
-                       ? Status::Internal("compute returned no document")
-                       : computed.status();
-    MutexLock lock(shard.mu);
-    shard.flights.erase(key);
-    outcome = std::move(error);
   }
   {
     MutexLock publish_lock(flight->mu);
-    flight->outcome = *outcome;
+    flight->outcome = outcome;
     flight->done = true;
   }
   flight->cv.NotifyAll();
-  return *outcome;
+  return outcome;
 }
 
 bool ResultCache::Invalidate(const std::string& key) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
+  shard.flights.erase(key);
   auto it = shard.entries.find(key);
   if (it == shard.entries.end()) return false;
   ++shard.stats.invalidations;
@@ -168,6 +172,9 @@ size_t ResultCache::InvalidateTag(const std::string& tag) {
   size_t dropped = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     MutexLock lock(shard->mu);
+    // A flight's tags are unknown until its compute returns, so every
+    // in-flight compute is detached.
+    shard->flights.clear();
     for (auto it = shard->lru.begin(); it != shard->lru.end();) {
       auto next = std::next(it);
       if (std::find(it->tags.begin(), it->tags.end(), tag) != it->tags.end()) {
@@ -185,6 +192,7 @@ void ResultCache::Clear() {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     MutexLock lock(shard->mu);
     shard->stats.invalidations += shard->lru.size();
+    shard->flights.clear();
     shard->lru.clear();
     shard->entries.clear();
     shard->bytes = 0;

@@ -67,7 +67,10 @@ struct ResultCacheOptions {
 ///    block until the leader publishes its snapshot (or error).
 ///  * **Tag invalidation.** Entries carry tags (source names); a Catalog
 ///    update hook calls InvalidateTag(source) to drop every answer that
-///    depended on that source.
+///    depended on that source. Invalidate, InvalidateTag and Clear also
+///    detach in-flight computes: callers arriving later start a new flight,
+///    and a detached leader shares its answer with its existing waiters but
+///    does not store it, since it may predate the write.
 class ResultCache {
  public:
   ResultCache(ResultCacheOptions options, Clock* clock);

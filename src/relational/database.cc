@@ -100,73 +100,11 @@ Result<ResultSet> Database::Execute(std::string_view sql) {
   }
 
   if (auto* del = std::get_if<DeleteStmt>(&stmt)) {
-    Table* table = GetTable(del->table);
-    if (table == nullptr) {
-      return Status::NotFound("no table '" + del->table + "'");
-    }
-    Status eval_error = Status::OK();
-    size_t removed = table->DeleteWhere([&](const Row& row) {
-      if (del->where == nullptr) return true;
-      Result<Value> v =
-          EvaluateRowExpression(*del->where, table->schema(), row);
-      if (!v.ok()) {
-        eval_error = v.status();
-        return false;
-      }
-      return v->Truthy();
-    });
-    NIMBLE_RETURN_IF_ERROR(eval_error);
-    ResultSet rs;
-    rs.stats.rows_returned = removed;
-    return rs;
+    return ExecuteDelete(*this, *del);
   }
 
   if (auto* update = std::get_if<UpdateStmt>(&stmt)) {
-    Table* table = GetTable(update->table);
-    if (table == nullptr) {
-      return Status::NotFound("no table '" + update->table + "'");
-    }
-    const TableSchema& schema = table->schema();
-    std::vector<size_t> target_cols;
-    for (const auto& [col, expr] : update->assignments) {
-      std::optional<size_t> idx = schema.ColumnIndex(col);
-      if (!idx.has_value()) {
-        return Status::NotFound("no column '" + col + "' in table '" +
-                                update->table + "'");
-      }
-      target_cols.push_back(*idx);
-    }
-    Status eval_error = Status::OK();
-    NIMBLE_ASSIGN_OR_RETURN(
-        size_t updated,
-        table->UpdateWhere(
-            [&](const Row& row) {
-              if (update->where == nullptr) return true;
-              Result<Value> v =
-                  EvaluateRowExpression(*update->where, schema, row);
-              if (!v.ok()) {
-                eval_error = v.status();
-                return false;
-              }
-              return v->Truthy();
-            },
-            [&](Row* row) {
-              // Assignments see the *old* row values.
-              const Row old_row = *row;
-              for (size_t a = 0; a < update->assignments.size(); ++a) {
-                Result<Value> v = EvaluateRowExpression(
-                    *update->assignments[a].second, schema, old_row);
-                if (!v.ok()) {
-                  eval_error = v.status();
-                  return;
-                }
-                (*row)[target_cols[a]] = std::move(v).value();
-              }
-            }));
-    NIMBLE_RETURN_IF_ERROR(eval_error);
-    ResultSet rs;
-    rs.stats.rows_returned = updated;
-    return rs;
+    return ExecuteUpdate(*this, *update);
   }
 
   return Status::Internal("unhandled statement variant");

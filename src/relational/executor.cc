@@ -253,10 +253,8 @@ Result<Value> Evaluate(const SqlExpr& expr, const Scope& scope, const Row& row,
 /// form `col OP literal` over `qualifier` that an index can serve.
 struct IndexProbe {
   const OrderedIndex* index = nullptr;
-  Value eq_key;           ///< equality probe when `is_equality`.
-  bool is_equality = false;
-  std::vector<Value> in_keys;  ///< IN-list probe when non-empty.
-  Value lo, hi;           ///< range bounds (null = open).
+  std::vector<Value> keys;  ///< equality or IN-list probe when non-empty.
+  Value lo, hi;             ///< range bounds (null = open).
   bool lo_inclusive = true, hi_inclusive = true;
 };
 
@@ -269,8 +267,18 @@ void CollectConjuncts(const SqlExpr* expr, std::vector<const SqlExpr*>* out) {
   }
 }
 
+/// True when `col_ref` unambiguously names a column of the probed (leftmost)
+/// table: qualified with its name/alias, or unqualified with no join table
+/// sharing the column name (an unqualified reference that also resolves on a
+/// join table must not restrict the base scan).
 bool RefersToProbedTable(const SqlExpr& col_ref, const std::string& qualifier,
-                         const std::vector<const TableSchema*>& join_schemas);
+                         const std::vector<const TableSchema*>& join_schemas) {
+  if (!col_ref.qualifier.empty()) return col_ref.qualifier == qualifier;
+  for (const TableSchema* schema : join_schemas) {
+    if (schema->ColumnIndex(col_ref.column).has_value()) return false;
+  }
+  return true;
+}
 
 bool MatchColumnLiteral(const SqlExpr& expr, const std::string& qualifier,
                         const std::vector<const TableSchema*>& join_schemas,
@@ -309,19 +317,6 @@ bool MatchColumnLiteral(const SqlExpr& expr, const std::string& qualifier,
   return true;
 }
 
-/// True when `col_ref` unambiguously names a column of the probed (leftmost)
-/// table: qualified with its name/alias, or unqualified with no join table
-/// sharing the column name (an unqualified reference that also resolves on a
-/// join table must not restrict the base scan).
-bool RefersToProbedTable(const SqlExpr& col_ref, const std::string& qualifier,
-                         const std::vector<const TableSchema*>& join_schemas) {
-  if (!col_ref.qualifier.empty()) return col_ref.qualifier == qualifier;
-  for (const TableSchema* schema : join_schemas) {
-    if (schema->ColumnIndex(col_ref.column).has_value()) return false;
-  }
-  return true;
-}
-
 IndexProbe FindIndexProbe(const Table& table, const std::string& qualifier,
                           const SqlExpr* where,
                           const std::vector<const TableSchema*>& join_schemas) {
@@ -347,9 +342,8 @@ IndexProbe FindIndexProbe(const Table& table, const std::string& qualifier,
         }
         if (index != nullptr && all_literals) {
           probe.index = index;
-          probe.in_keys.clear();
           for (size_t i = 1; i < conjunct->args.size(); ++i) {
-            probe.in_keys.push_back(conjunct->args[i]->literal);
+            probe.keys.push_back(conjunct->args[i]->literal);
           }
           return probe;
         }
@@ -365,8 +359,7 @@ IndexProbe FindIndexProbe(const Table& table, const std::string& qualifier,
     if (index == nullptr) continue;
     if (op == "=") {
       probe.index = index;
-      probe.is_equality = true;
-      probe.eq_key = literal;
+      probe.keys = {literal};
       return probe;
     }
     if (probe.index != nullptr && probe.index != index) continue;
@@ -439,12 +432,6 @@ EquiJoinKeys ExtractEquiJoin(const SqlExpr& condition, const Scope& left_scope,
         if (!r->qualifier.empty() && r->qualifier != right_qualifier) continue;
         std::optional<size_t> rc = right_schema.ColumnIndex(r->column);
         if (!rc.has_value()) continue;
-        if (!r->qualifier.empty() || right_qualifier.empty()) {
-          // fall through; qualifier matches
-        }
-        if (r->qualifier.empty() && l->qualifier.empty()) {
-          // Ambiguous unqualified = unqualified: require left resolution.
-        }
         Result<size_t> ls = left_scope.Resolve(l->qualifier, l->column);
         if (!ls.ok()) continue;
         keys.left_slots.push_back(*ls);
@@ -457,15 +444,53 @@ EquiJoinKeys ExtractEquiJoin(const SqlExpr& condition, const Scope& left_scope,
   return keys;
 }
 
-}  // namespace
-
-Result<Value> EvaluateRowExpression(const SqlExpr& expr,
-                                    const TableSchema& schema,
-                                    const Row& row) {
-  Scope scope;
-  scope.AddTable(schema.name(), schema);
-  return Evaluate(expr, scope, row, nullptr);
+/// The one row-access path of SELECT, UPDATE and DELETE: the live row ids
+/// of `table`, bound in `scope` under `qualifier`, that satisfy `where`.
+/// A sargable conjunct over an indexed column restricts the candidates to an
+/// index probe (equality, IN or range); otherwise every live row is a
+/// candidate. With no joins (`join_schemas` empty) the whole WHERE is applied
+/// here, so the ids are exact; with joins the caller applies it after
+/// joining. Candidates are counted in `stats->rows_scanned`.
+Result<std::vector<size_t>> MatchingRowIds(
+    const Table& table, const std::string& qualifier, const Scope& scope,
+    const SqlExpr* where, const std::vector<const TableSchema*>& join_schemas,
+    ExecStats* stats) {
+  IndexProbe probe = FindIndexProbe(table, qualifier, where, join_schemas);
+  std::vector<size_t> ids;
+  if (probe.index == nullptr) {
+    ids.reserve(table.size());
+    table.ForEachLiveRow([&](size_t id) { ids.push_back(id); });
+  } else if (probe.keys.empty()) {
+    ids = probe.index->Range(probe.lo, probe.lo_inclusive, probe.hi,
+                             probe.hi_inclusive);
+  } else {
+    for (const Value& key : probe.keys) {
+      std::vector<size_t> hits = probe.index->Lookup(key);
+      ids.insert(ids.end(), hits.begin(), hits.end());
+    }
+    // A duplicated IN-list value must not duplicate rows.
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  }
+  // Indexes hold live rows only, so every probed id is a live candidate.
+  if (probe.index != nullptr) {
+    stats->used_index = true;
+    stats->index_name = probe.index->name();
+  }
+  stats->rows_scanned += ids.size();
+  if (where == nullptr || !join_schemas.empty()) return ids;
+  size_t kept = 0;
+  Row scratch;
+  for (size_t id : ids) {
+    table.CopyRowInto(id, &scratch);
+    NIMBLE_ASSIGN_OR_RETURN(Value v, Evaluate(*where, scope, scratch, nullptr));
+    if (v.Truthy()) ids[kept++] = id;
+  }
+  ids.resize(kept);
+  return ids;
 }
+
+}  // namespace
 
 bool LikeMatch(const std::string& text, const std::string& pattern) {
   // Iterative wildcard match with backtracking on '%'.
@@ -502,74 +527,32 @@ Result<ResultSet> ExecuteSelect(const Database& db, const SelectStmt& stmt) {
 
   ExecStats stats;
 
-  // ---- Base access (index-assisted when possible) ---------------------------
-  std::vector<Row> current;
-  // The WHERE clause is re-applied in full after joins, so restricting the
-  // base scan by one of its sargable conjuncts is safe even when joins
-  // follow — as long as the conjunct unambiguously binds to the base table.
+  // Join tables resolve up front: their schemas decide which WHERE
+  // conjuncts bind to the base table alone.
+  std::vector<const Table*> join_tables;
   std::vector<const TableSchema*> join_schemas;
   for (const JoinClause& join : stmt.joins) {
     const Table* joined = db.GetTable(join.table.table);
-    if (joined != nullptr) join_schemas.push_back(&joined->schema());
-  }
-  IndexProbe probe = FindIndexProbe(*base, stmt.from.EffectiveName(),
-                                    stmt.where.get(), join_schemas);
-  if (probe.index != nullptr) {
-    stats.used_index = true;
-    stats.index_name = probe.index->name();
-    std::vector<size_t> row_ids;
-    if (probe.is_equality) {
-      row_ids = probe.index->Lookup(probe.eq_key);
-    } else if (!probe.in_keys.empty()) {
-      for (const Value& key : probe.in_keys) {
-        std::vector<size_t> hits = probe.index->Lookup(key);
-        row_ids.insert(row_ids.end(), hits.begin(), hits.end());
-      }
-      // A duplicated IN-list value must not duplicate rows.
-      std::sort(row_ids.begin(), row_ids.end());
-      row_ids.erase(std::unique(row_ids.begin(), row_ids.end()),
-                    row_ids.end());
-    } else {
-      row_ids = probe.index->Range(probe.lo, probe.lo_inclusive, probe.hi,
-                                   probe.hi_inclusive);
-    }
-    for (size_t id : row_ids) {
-      if (base->IsLive(id)) {
-        current.push_back(base->MaterializeRow(id));
-        ++stats.rows_scanned;
-      }
-    }
-  } else if (stmt.joins.empty() && stmt.where != nullptr) {
-    // Single-table predicate pushdown straight over the column arrays:
-    // candidates are evaluated in a reused scratch row, so rows failing the
-    // WHERE clause are never materialized.
-    const size_t n = base->physical_size();
-    const bool dense = base->dense();
-    Row scratch;
-    for (size_t id = 0; id < n; ++id) {
-      if (!dense && !base->IsLive(id)) continue;
-      base->CopyRowInto(id, &scratch);
-      ++stats.rows_scanned;
-      NIMBLE_ASSIGN_OR_RETURN(Value v,
-                              Evaluate(*stmt.where, scope, scratch, nullptr));
-      if (v.Truthy()) current.push_back(scratch);
-    }
-  } else {
-    const size_t n = base->physical_size();
-    const bool dense = base->dense();
-    for (size_t id = 0; id < n; ++id) {
-      if (!dense && !base->IsLive(id)) continue;
-      current.push_back(base->MaterializeRow(id));
-      ++stats.rows_scanned;
-    }
-  }
-
-  // ---- Joins ----------------------------------------------------------------
-  for (const JoinClause& join : stmt.joins) {
-    const Table* right = db.GetTable(join.table.table);
-    if (right == nullptr) {
+    if (joined == nullptr) {
       return Status::NotFound("no table '" + join.table.table + "'");
     }
+    join_tables.push_back(joined);
+    join_schemas.push_back(&joined->schema());
+  }
+
+  // ---- Base access ----------------------------------------------------------
+  NIMBLE_ASSIGN_OR_RETURN(
+      std::vector<size_t> base_ids,
+      MatchingRowIds(*base, stmt.from.EffectiveName(), scope,
+                     stmt.where.get(), join_schemas, &stats));
+  std::vector<Row> current;
+  current.reserve(base_ids.size());
+  for (size_t id : base_ids) current.push_back(base->MaterializeRow(id));
+
+  // ---- Joins ----------------------------------------------------------------
+  for (size_t j = 0; j < stmt.joins.size(); ++j) {
+    const JoinClause& join = stmt.joins[j];
+    const Table* right = join_tables[j];
     const std::string& right_name = join.table.EffectiveName();
     EquiJoinKeys keys = ExtractEquiJoin(*join.condition, scope, right_name,
                                         right->schema());
@@ -669,8 +652,8 @@ Result<ResultSet> ExecuteSelect(const Database& db, const SelectStmt& stmt) {
     scope = std::move(joined_scope);
   }
 
-  // ---- WHERE ----------------------------------------------------------------
-  if (stmt.where != nullptr) {
+  // ---- WHERE (single-table statements applied it during base access) -------
+  if (stmt.where != nullptr && !stmt.joins.empty()) {
     std::vector<Row> filtered;
     filtered.reserve(current.size());
     for (Row& row : current) {
@@ -818,6 +801,62 @@ Result<ResultSet> ExecuteSelect(const Database& db, const SelectStmt& stmt) {
   stats.rows_returned = result.rows.size();
   result.stats = stats;
   return result;
+}
+
+Result<ResultSet> ExecuteUpdate(Database& db, const UpdateStmt& stmt) {
+  Table* table = db.GetTable(stmt.table);
+  if (table == nullptr) {
+    return Status::NotFound("no table '" + stmt.table + "'");
+  }
+  const TableSchema& schema = table->schema();
+  std::vector<size_t> target_cols;
+  for (const auto& [col, expr] : stmt.assignments) {
+    std::optional<size_t> idx = schema.ColumnIndex(col);
+    if (!idx.has_value()) {
+      return Status::NotFound("no column '" + col + "' in table '" +
+                              stmt.table + "'");
+    }
+    target_cols.push_back(*idx);
+  }
+  Scope scope;
+  scope.AddTable(stmt.table, schema);
+  ResultSet rs;
+  NIMBLE_ASSIGN_OR_RETURN(std::vector<size_t> ids,
+                          MatchingRowIds(*table, stmt.table, scope,
+                                         stmt.where.get(), {}, &rs.stats));
+  // Every new row is computed before the table changes, and assignments
+  // read the old row, so a failing statement changes nothing.
+  std::vector<Row> rows;
+  rows.reserve(ids.size());
+  for (size_t id : ids) {
+    const Row old_row = table->MaterializeRow(id);
+    Row row = old_row;
+    for (size_t a = 0; a < stmt.assignments.size(); ++a) {
+      NIMBLE_ASSIGN_OR_RETURN(
+          row[target_cols[a]],
+          Evaluate(*stmt.assignments[a].second, scope, old_row, nullptr));
+    }
+    rows.push_back(std::move(row));
+  }
+  NIMBLE_RETURN_IF_ERROR(table->Update(ids, std::move(rows)));
+  rs.stats.rows_returned = ids.size();
+  return rs;
+}
+
+Result<ResultSet> ExecuteDelete(Database& db, const DeleteStmt& stmt) {
+  Table* table = db.GetTable(stmt.table);
+  if (table == nullptr) {
+    return Status::NotFound("no table '" + stmt.table + "'");
+  }
+  Scope scope;
+  scope.AddTable(stmt.table, table->schema());
+  ResultSet rs;
+  NIMBLE_ASSIGN_OR_RETURN(std::vector<size_t> ids,
+                          MatchingRowIds(*table, stmt.table, scope,
+                                         stmt.where.get(), {}, &rs.stats));
+  table->Delete(ids);
+  rs.stats.rows_returned = ids.size();
+  return rs;
 }
 
 }  // namespace relational

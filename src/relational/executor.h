@@ -35,14 +35,16 @@ struct ResultSet {
 /// a faithful "real RDBMS" endpoint for the mediator's generated SQL.
 Result<ResultSet> ExecuteSelect(const Database& db, const SelectStmt& stmt);
 
+/// UPDATE and DELETE select their rows through the same index-or-scan access
+/// path as a single-table SELECT, and are atomic: an error (unknown column,
+/// type mismatch, duplicate primary key) leaves the table unchanged.
+/// `rows_returned` counts the rows changed; `rows_scanned`/`used_index`
+/// describe the access as for SELECT.
+Result<ResultSet> ExecuteUpdate(Database& db, const UpdateStmt& stmt);
+Result<ResultSet> ExecuteDelete(Database& db, const DeleteStmt& stmt);
+
 /// SQL LIKE pattern matching ('%' = any run, '_' = any one char).
 bool LikeMatch(const std::string& text, const std::string& pattern);
-
-/// Evaluates a non-aggregate expression against one row of `schema`
-/// (column refs resolve unqualified or qualified by the table name).
-/// Used by DELETE/UPDATE and by the mediator's residual predicates.
-Result<Value> EvaluateRowExpression(const SqlExpr& expr,
-                                    const TableSchema& schema, const Row& row);
 
 }  // namespace relational
 }  // namespace nimble

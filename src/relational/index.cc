@@ -1,12 +1,16 @@
 #include "relational/index.h"
 
+#include <cstdint>
+
 namespace nimble {
 namespace relational {
 
 std::vector<size_t> OrderedIndex::Lookup(const Value& key) const {
   std::vector<size_t> out;
-  auto [lo, hi] = entries_.equal_range(key);
-  for (auto it = lo; it != hi; ++it) out.push_back(it->second);
+  for (auto it = entries_.lower_bound({key, 0});
+       it != entries_.end() && it->first == key; ++it) {
+    out.push_back(it->second);
+  }
   return out;
 }
 
@@ -22,11 +26,11 @@ std::vector<size_t> OrderedIndex::Range(const Value& lo, bool lo_inclusive,
     if (cmp > 0 || (cmp == 0 && !(lo_inclusive && hi_inclusive))) return out;
   }
   auto begin = lo.is_null() ? entries_.begin()
-               : lo_inclusive ? entries_.lower_bound(lo)
-                              : entries_.upper_bound(lo);
+               : lo_inclusive ? entries_.lower_bound({lo, 0})
+                              : entries_.upper_bound({lo, SIZE_MAX});
   auto end = hi.is_null() ? entries_.end()
-             : hi_inclusive ? entries_.upper_bound(hi)
-                            : entries_.lower_bound(hi);
+             : hi_inclusive ? entries_.upper_bound({hi, SIZE_MAX})
+                            : entries_.lower_bound({hi, 0});
   for (auto it = begin; it != end; ++it) out.push_back(it->second);
   return out;
 }

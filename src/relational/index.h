@@ -1,7 +1,7 @@
 #ifndef NIMBLE_RELATIONAL_INDEX_H_
 #define NIMBLE_RELATIONAL_INDEX_H_
 
-#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -10,7 +10,9 @@
 namespace nimble {
 namespace relational {
 
-/// An ordered secondary index over one column. Maps column value → row ids.
+/// An ordered secondary index over one column. Maps column value → row ids,
+/// ordered by (value, row id), so a probe returns equal keys in row-id order
+/// and one entry is erased in O(log n) however many rows share its key.
 /// Supports equality and range probes; the mediator's compiler consults
 /// index presence when deciding what to push down (paper §2.1: the compiler
 /// considers "the presence of indices on the data").
@@ -26,7 +28,10 @@ class OrderedIndex {
     entries_.emplace(key, row_id);
   }
 
-  void Clear() { entries_.clear(); }
+  /// Removes the entry (key, row_id); a no-op when it is absent.
+  void Erase(const Value& key, size_t row_id) {
+    entries_.erase({key, row_id});
+  }
 
   /// Row ids with column == key.
   std::vector<size_t> Lookup(const Value& key) const;
@@ -38,15 +43,17 @@ class OrderedIndex {
   size_t size() const { return entries_.size(); }
 
  private:
-  struct ValueLess {
-    bool operator()(const Value& a, const Value& b) const {
-      return a.Compare(b) < 0;
+  using Entry = std::pair<Value, size_t>;
+  struct EntryLess {
+    bool operator()(const Entry& a, const Entry& b) const {
+      int cmp = a.first.Compare(b.first);
+      return cmp != 0 ? cmp < 0 : a.second < b.second;
     }
   };
 
   std::string name_;
   size_t column_;
-  std::multimap<Value, size_t, ValueLess> entries_;
+  std::set<Entry, EntryLess> entries_;
 };
 
 }  // namespace relational

@@ -1,29 +1,23 @@
 #include "relational/table.h"
 
+#include <algorithm>
+
 namespace nimble {
 namespace relational {
+
+namespace {
+Status DuplicateKey(const Value& key, const std::string& table) {
+  return Status::AlreadyExists("duplicate primary key " + key.ToString() +
+                               " in table '" + table + "'");
+}
+}  // namespace
 
 Status Table::Insert(Row row) {
   schema_.CoerceRow(&row);
   NIMBLE_RETURN_IF_ERROR(schema_.ValidateRow(row));
-  if (schema_.primary_key().has_value()) {
-    size_t pk = *schema_.primary_key();
-    const Value& key = row[pk];
-    const OrderedIndex* pk_index = FindIndexOn(pk);
-    if (pk_index != nullptr) {
-      if (!pk_index->Lookup(key).empty()) {
-        return Status::AlreadyExists("duplicate primary key " + key.ToString() +
-                                     " in table '" + schema_.name() + "'");
-      }
-    } else {
-      const std::vector<Value>& pk_column = columns_[pk];
-      for (size_t i = 0; i < num_rows_; ++i) {
-        if (!tombstones_[i] && pk_column[i] == key) {
-          return Status::AlreadyExists("duplicate primary key " +
-                                       key.ToString() + " in table '" +
-                                       schema_.name() + "'");
-        }
-      }
+  if (std::optional<size_t> pk = schema_.primary_key()) {
+    if (KeyHeldOutside(row[*pk], {})) {
+      return DuplicateKey(row[*pk], schema_.name());
     }
   }
   size_t row_id = num_rows_;
@@ -40,15 +34,6 @@ Status Table::Insert(Row row) {
   return Status::OK();
 }
 
-Row Table::MaterializeRow(size_t row_id) const {
-  Row row;
-  row.reserve(columns_.size());
-  for (const std::vector<Value>& column : columns_) {
-    row.push_back(column[row_id]);
-  }
-  return row;
-}
-
 void Table::CopyRowInto(size_t row_id, Row* out) const {
   out->resize(columns_.size());
   for (size_t c = 0; c < columns_.size(); ++c) {
@@ -56,56 +41,84 @@ void Table::CopyRowInto(size_t row_id, Row* out) const {
   }
 }
 
-void Table::StoreRow(size_t row_id, const Row& row) {
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c][row_id] = row[c];
-  }
-}
-
-size_t Table::DeleteWhere(const std::function<bool(const Row&)>& predicate) {
-  size_t removed = 0;
-  Row scratch;
-  for (size_t i = 0; i < num_rows_; ++i) {
-    if (tombstones_[i]) continue;
-    CopyRowInto(i, &scratch);
-    if (predicate(scratch)) {
-      tombstones_[i] = true;
-      ++tombstone_count_;
-      --live_rows_;
-      ++removed;
+bool Table::KeyHeldOutside(const Value& key,
+                           const std::vector<size_t>& replaced) const {
+  const size_t pk = *schema_.primary_key();
+  auto held_outside = [&](size_t id) {
+    return !std::binary_search(replaced.begin(), replaced.end(), id);
+  };
+  bool clash = false;
+  if (const OrderedIndex* pk_index = FindIndexOn(pk)) {
+    for (size_t id : pk_index->Lookup(key)) clash = clash || held_outside(id);
+  } else {
+    const std::vector<Value>& pk_column = columns_[pk];
+    for (size_t i = 0; i < num_rows_ && !clash; ++i) {
+      clash = !tombstones_[i] && pk_column[i] == key && held_outside(i);
     }
   }
-  if (removed > 0) {
-    RebuildIndexes();
-    ++version_;
-  }
-  return removed;
+  return clash;
 }
 
-Result<size_t> Table::UpdateWhere(
-    const std::function<bool(const Row&)>& predicate,
-    const std::function<void(Row*)>& mutate) {
-  size_t updated = 0;
-  Row scratch;
-  for (size_t i = 0; i < num_rows_; ++i) {
-    if (tombstones_[i]) continue;
-    CopyRowInto(i, &scratch);
-    if (predicate(scratch)) {
-      mutate(&scratch);
-      schema_.CoerceRow(&scratch);
-      // Store before validating: historically the mutation was applied in
-      // place, so even the offending row keeps its new value on abort.
-      StoreRow(i, scratch);
-      Status status = schema_.ValidateRow(scratch);
-      if (!status.ok()) return status;
-      ++updated;
+Status Table::Update(const std::vector<size_t>& row_ids,
+                     std::vector<Row> rows) {
+  assert(row_ids.size() == rows.size());
+  for (Row& row : rows) {
+    schema_.CoerceRow(&row);
+    NIMBLE_RETURN_IF_ERROR(schema_.ValidateRow(row));
+  }
+  if (std::optional<size_t> pk = schema_.primary_key()) {
+    // Keys left as they were cannot clash with rows outside the update; a
+    // changed key must be free outside it, and all new keys distinct.
+    std::vector<size_t> replaced = row_ids;
+    std::sort(replaced.begin(), replaced.end());
+    bool key_changed = false;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i][*pk] == at(row_ids[i], *pk)) continue;
+      key_changed = true;
+      if (KeyHeldOutside(rows[i][*pk], replaced)) {
+        return DuplicateKey(rows[i][*pk], schema_.name());
+      }
+    }
+    if (key_changed) {
+      std::vector<const Value*> keys;
+      for (const Row& row : rows) keys.push_back(&row[*pk]);
+      std::sort(keys.begin(), keys.end(),
+                [](const Value* a, const Value* b) { return *a < *b; });
+      for (size_t i = 1; i < keys.size(); ++i) {
+        if (*keys[i - 1] == *keys[i]) {
+          return DuplicateKey(*keys[i], schema_.name());
+        }
+      }
     }
   }
-  if (updated > 0) {
-    RebuildIndexes();
-    ++version_;
+  for (size_t i = 0; i < row_ids.size(); ++i) {
+    const size_t id = row_ids[i];
+    for (auto& index : indexes_) {
+      const Value& old_key = columns_[index->column()][id];
+      const Value& new_key = rows[i][index->column()];
+      if (old_key == new_key) continue;
+      index->Erase(old_key, id);
+      index->Insert(new_key, id);
+    }
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      columns_[c][id] = std::move(rows[i][c]);
+    }
   }
-  return updated;
+  if (!row_ids.empty()) ++version_;
+  return Status::OK();
+}
+
+void Table::Delete(const std::vector<size_t>& row_ids) {
+  for (size_t id : row_ids) {
+    assert(IsLive(id));
+    for (auto& index : indexes_) {
+      index->Erase(columns_[index->column()][id], id);
+    }
+    tombstones_[id] = true;
+  }
+  tombstone_count_ += row_ids.size();
+  live_rows_ -= row_ids.size();
+  if (!row_ids.empty()) ++version_;
 }
 
 Status Table::CreateIndex(const std::string& index_name,
@@ -138,14 +151,6 @@ const OrderedIndex* Table::FindIndexOn(size_t column) const {
     if (index->column() == column) return index.get();
   }
   return nullptr;
-}
-
-void Table::RebuildIndexes() {
-  for (auto& index : indexes_) {
-    index->Clear();
-    const std::vector<Value>& values = columns_[index->column()];
-    ForEachLiveRow([&](size_t i) { index->Insert(values[i], i); });
-  }
 }
 
 }  // namespace relational

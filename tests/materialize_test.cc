@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+
 #include "connector/relational_connector.h"
 #include "materialize/result_cache.h"
 #include "materialize/view_selection.h"
@@ -184,6 +187,59 @@ TEST_F(ResultCacheTest, LookupOrComputeNeverCachesErrorsOrPartialResults) {
   ASSERT_TRUE(cache.LookupOrCompute("q", partial).ok());
   EXPECT_EQ(computes, 2);
   EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST_F(ResultCacheTest, InvalidationDuringComputeStoresNothing) {
+  ResultCache cache(Opts(1 << 20), &clock_);
+  auto stale = [&]() -> Result<ResultCache::Computed> {
+    // The source changes while this answer is being computed.
+    cache.InvalidateTag("crm");
+    ResultCache::Computed computed;
+    computed.document = Doc("old");
+    computed.tags = {"crm"};
+    return computed;
+  };
+  Result<ConstNodePtr> first = cache.LookupOrCompute("q", stale);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ((*first)->FindChild("v")->ScalarValue(), Value::String("old"));
+  EXPECT_EQ(cache.size(), 0u);
+  bool ran = false;
+  ASSERT_TRUE(cache.LookupOrCompute("q", stale, &ran).ok());
+  EXPECT_TRUE(ran);
+}
+
+TEST_F(ResultCacheTest, CallerAfterInvalidationStartsItsOwnFlight) {
+  ResultCache cache(Opts(1 << 20), &clock_);
+  auto fresh = [&]() -> Result<ResultCache::Computed> {
+    ResultCache::Computed computed;
+    computed.document = Doc("new");
+    computed.tags = {"crm"};
+    return computed;
+  };
+  // The second caller arrives after the invalidation, while the first
+  // compute is still running. Joining the first flight would block it
+  // until that compute returns, so the wait below would time out.
+  std::future<bool> second;
+  auto stale = [&]() -> Result<ResultCache::Computed> {
+    cache.InvalidateTag("crm");
+    second = std::async(std::launch::async, [&] {
+      bool ran = false;
+      EXPECT_TRUE(cache.LookupOrCompute("q", fresh, &ran).ok());
+      return ran;
+    });
+    second.wait_for(std::chrono::seconds(5));
+    ResultCache::Computed computed;
+    computed.document = Doc("old");
+    computed.tags = {"crm"};
+    return computed;
+  };
+  bool first_ran = false;
+  ASSERT_TRUE(cache.LookupOrCompute("q", stale, &first_ran).ok());
+  EXPECT_TRUE(first_ran);
+  EXPECT_TRUE(second.get());
+  ConstNodePtr stored = cache.Lookup("q");
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(stored->FindChild("v")->ScalarValue(), Value::String("new"));
 }
 
 TEST_F(ResultCacheTest, LegacyConstructorStillWorks) {

@@ -293,6 +293,32 @@ TEST_F(OptimizerEngineTest, PlanCacheEvictsOnStatsEpochChange) {
   EXPECT_EQ(s2.evictions, 0u);  // not an LRU eviction.
 }
 
+// A root estimate the selectivity model gets wrong, over statistics that
+// are right, must not advance the (global) stats epoch: re-planning would
+// give the same plan, and every cached plan would be evicted on each run.
+TEST_F(OptimizerEngineTest, RootMisestimateKeepsCachedPlans) {
+  Must(crm_->Execute("CREATE TABLE visits (id INT PRIMARY KEY, page TEXT)"));
+  for (int i = 0; i < 2000; ++i) {
+    Must(crm_->Execute("INSERT INTO visits VALUES (" + std::to_string(i) +
+                       ", 'p')"));
+  }
+  Must(engine_->Analyze());
+  const char* q =
+      "WHERE <visits><row><id>$i</id><page>$p</page></row></visits> "
+      "IN \"crm:visits\", $i >= 10, $i < 11 "
+      "CONSTRUCT <v>$i</v>";
+  const uint64_t epoch_before = catalog_->statistics().epoch();
+  Result<core::QueryResult> first = engine_->ExecuteText(q);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->report.result_count, 1u);
+  Must(engine_->ExecuteText(q));
+  EXPECT_EQ(catalog_->statistics().epoch(), epoch_before)
+      << first->report.plan_with_stats;
+  core::PlanCache::Stats stats = engine_->plan_cache()->stats();
+  EXPECT_EQ(stats.stats_evictions, 0u);
+  EXPECT_GE(stats.hits, 1u);
+}
+
 // Adaptive feedback: a wildly wrong row count is corrected by the first
 // execution's observed rows (epoch bump → replan), and the second
 // execution's estimate lands within 10x of the actual row count.

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
 #include "relational/database.h"
 #include "relational/executor.h"
 #include "relational/sql_parser.h"
@@ -27,6 +30,13 @@ class RelationalTest : public ::testing::Test {
     Result<ResultSet> r = db_.Execute(sql);
     EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
     return r.ok() ? std::move(*r) : ResultSet{};
+  }
+
+  // The one value a one-row, one-column SELECT returns.
+  Value Scalar(const std::string& sql) {
+    ResultSet rs = Exec(sql);
+    EXPECT_EQ(rs.rows.size(), 1u) << sql;
+    return rs.rows.size() == 1 ? rs.rows[0][0] : Value::Null();
   }
 
   Status ExecError(const std::string& sql) {
@@ -250,6 +260,195 @@ TEST_F(RelationalTest, UpdateSeesOldValues) {
   ResultSet rs = Exec("SELECT a, b FROM t");
   EXPECT_EQ(rs.rows[0][0], Value::Int(2));
   EXPECT_EQ(rs.rows[0][1], Value::Int(1));
+}
+
+TEST_F(RelationalTest, UpdateToDuplicateKeyChangesNothing) {
+  EXPECT_EQ(ExecError("UPDATE customers SET id = 2 WHERE id = 1").code(),
+            StatusCode::kAlreadyExists);
+  // Two rows onto one key that nobody holds yet.
+  EXPECT_EQ(
+      ExecError("UPDATE customers SET id = 7 WHERE city = 'Seattle'").code(),
+      StatusCode::kAlreadyExists);
+  ResultSet rs = Exec("SELECT id FROM customers ORDER BY id");
+  ASSERT_EQ(rs.rows.size(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(rs.rows[i][0], Value::Int(static_cast<int64_t>(i + 1)));
+  }
+  EXPECT_EQ(Scalar("SELECT name FROM customers WHERE id = 1"),
+            Value::String("Ada"));
+  // Keys may trade places within one statement.
+  Exec("UPDATE customers SET id = 5 - id WHERE id = 1 OR id = 4");
+  EXPECT_EQ(Scalar("SELECT name FROM customers WHERE id = 4"),
+            Value::String("Ada"));
+  EXPECT_EQ(Scalar("SELECT name FROM customers WHERE id = 1"),
+            Value::String("Dan"));
+}
+
+TEST_F(RelationalTest, UpdateTypeErrorChangesNothing) {
+  Exec("CREATE TABLE t (a INT, b INT)");
+  Exec("INSERT INTO t VALUES (1, 10), (2, 20)");
+  EXPECT_EQ(ExecError("UPDATE t SET a = 'oops'").code(),
+            StatusCode::kTypeError);
+  ResultSet rs = Exec("SELECT a FROM t ORDER BY a");
+  ASSERT_EQ(rs.rows.size(), 2u);
+  EXPECT_EQ(rs.rows[0][0], Value::Int(1));
+  EXPECT_EQ(rs.rows[1][0], Value::Int(2));
+}
+
+TEST_F(RelationalTest, DeleteEvaluationErrorDeletesNothing) {
+  Exec("CREATE TABLE t (a INT, b INT)");
+  Exec("INSERT INTO t VALUES (1, 10), (2, 20)");
+  // Row a = 1 short-circuits the OR; row a = 2 reaches the unknown column.
+  EXPECT_EQ(ExecError("DELETE FROM t WHERE a = 1 OR zzz = 1").code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(Exec("SELECT * FROM t").rows.size(), 2u);
+}
+
+TEST_F(RelationalTest, PointDmlProbesPrimaryKey) {
+  ResultSet rs = Exec("UPDATE customers SET balance = 1.0 WHERE id = 3");
+  EXPECT_EQ(rs.stats.rows_returned, 1u);
+  EXPECT_TRUE(rs.stats.used_index);
+  EXPECT_EQ(rs.stats.rows_scanned, 1u);
+  rs = Exec("DELETE FROM customers WHERE id = 3");
+  EXPECT_EQ(rs.stats.rows_returned, 1u);
+  EXPECT_TRUE(rs.stats.used_index);
+  EXPECT_EQ(rs.stats.rows_scanned, 1u);
+  EXPECT_EQ(Exec("SELECT * FROM customers").rows.size(), 3u);
+}
+
+// Random DML applied to an indexed table and to an unindexed twin (whose
+// primary key is checked by scanning) must leave both with the same rows,
+// and every index must list exactly the live rows holding each key.
+TEST(RelationalDifferentialTest, IndexedAndUnindexedTwinsAgreeUnderDml) {
+  Database db("diff");
+  std::vector<Column> columns = {{"id", ValueType::kInt, false},
+                                 {"k", ValueType::kInt, true},
+                                 {"s", ValueType::kString, true},
+                                 {"d", ValueType::kDouble, true}};
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INT PRIMARY KEY, k INT, s TEXT, "
+                         "d DOUBLE)")
+                  .ok());
+  for (const char* column : {"k", "s", "d"}) {
+    ASSERT_TRUE(db.Execute(std::string("CREATE INDEX t_") + column +
+                           " ON t (" + column + ")")
+                    .ok());
+  }
+  TableSchema twin_schema("u", columns);
+  ASSERT_TRUE(twin_schema.SetPrimaryKey("id").ok());
+  ASSERT_TRUE(db.CreateTable(twin_schema).ok());
+  const Table& indexed = *db.GetTable("t");
+  ASSERT_EQ(indexed.indexes().size(), 4u);
+  ASSERT_TRUE(db.GetTable("u")->indexes().empty());
+
+  Rng rng(20260417);
+  auto literal = [&](int column) -> std::string {
+    if (column != 0 && rng.Bernoulli(0.1)) return "NULL";
+    switch (column) {
+      case 0:
+        return std::to_string(rng.UniformInt(0, 59));
+      case 1:
+        return std::to_string(rng.UniformInt(0, 7));
+      case 2:
+        return std::string("'") + static_cast<char>('a' + rng.Uniform(4)) +
+               "'";
+      default:  // whole numbers exercise int → double widening
+        return rng.Bernoulli(0.5) ? std::to_string(rng.UniformInt(0, 5))
+                                  : std::to_string(rng.UniformInt(0, 9)) +
+                                        ".5";
+    }
+  };
+  auto predicate = [&]() -> std::string {
+    switch (rng.Uniform(9)) {
+      case 0:
+        return "";
+      case 1:
+        return " WHERE k = " + literal(1);
+      case 2:
+        return " WHERE k >= " + literal(1) + " AND k < " + literal(1);
+      case 3:
+        return " WHERE s = " + literal(2);
+      case 4:
+        return " WHERE k IN (" + literal(1) + ", " + literal(1) + ")";
+      case 5:
+        return " WHERE id = " + literal(0);
+      case 6:
+        return " WHERE d > " + literal(3) + " AND s != 'a'";
+      case 7:
+        return " WHERE s IS NULL OR id < " + literal(0);
+      default:
+        return " WHERE id > " + literal(0) + " AND k <= " + literal(1);
+    }
+  };
+  const std::vector<std::string> assignments = {
+      "k = k + 1",   "d = d * 2",         "s = 'z'",
+      "id = id + 1", "k = NULL, s = 'b'", "id = id + 60, k = id"};
+  auto sorted_rows = [&](const std::string& sql) {
+    Result<ResultSet> rs = db.Execute(sql);
+    EXPECT_TRUE(rs.ok()) << sql << " -> " << rs.status().ToString();
+    std::vector<Row> rows = rs.ok() ? rs->rows : std::vector<Row>{};
+    std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+      for (size_t c = 0; c < a.size(); ++c) {
+        int cmp = a[c].Compare(b[c]);
+        if (cmp != 0) return cmp < 0;
+      }
+      return false;
+    });
+    return rows;
+  };
+
+  for (int step = 0; step < 500; ++step) {
+    std::string body;  // the statement with its table name left out
+    switch (rng.Uniform(3)) {
+      case 0:
+        body = " VALUES (" + literal(0) + ", " + literal(1) + ", " +
+               literal(2) + ", " + literal(3) + ")";
+        break;
+      case 1:
+        body = " SET " + assignments[rng.Index(assignments.size())] +
+               predicate();
+        break;
+      default:
+        body = predicate();
+        break;
+    }
+    const std::string verb = body.rfind(" VALUES", 0) == 0 ? "INSERT INTO "
+                             : body.rfind(" SET", 0) == 0  ? "UPDATE "
+                                                           : "DELETE FROM ";
+    const std::string on_t = verb + "t" + body;
+    Result<ResultSet> a = db.Execute(on_t);
+    Result<ResultSet> b = db.Execute(verb + "u" + body);
+    ASSERT_EQ(a.status().code(), b.status().code()) << on_t;
+    if (a.ok()) {
+      ASSERT_EQ(a->stats.rows_returned, b->stats.rows_returned) << on_t;
+    }
+
+    const std::string probe = predicate();
+    ASSERT_EQ(sorted_rows("SELECT * FROM t" + probe),
+              sorted_rows("SELECT * FROM u" + probe))
+        << "after " << on_t << ", probing" << probe;
+    ASSERT_EQ(sorted_rows("SELECT * FROM t"), sorted_rows("SELECT * FROM u"))
+        << "after " << on_t;
+
+    for (const auto& index : indexed.indexes()) {
+      ASSERT_EQ(index->size(), indexed.size()) << index->name();
+      std::vector<Value> keys;
+      indexed.ForEachLiveRow([&](size_t id) {
+        const Value& key = indexed.at(id, index->column());
+        if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+          keys.push_back(key);
+        }
+      });
+      for (const Value& key : keys) {
+        std::vector<size_t> expected;
+        indexed.ForEachLiveRow([&](size_t id) {
+          if (indexed.at(id, index->column()) == key) expected.push_back(id);
+        });
+        ASSERT_EQ(index->Lookup(key), expected)
+            << "after " << on_t << ": " << index->name() << " at "
+            << key.ToString();
+      }
+    }
+  }
 }
 
 TEST_F(RelationalTest, IndexUsedForEquality) {
