@@ -43,29 +43,35 @@ relational::TableSchema InferSchema(
   return relational::TableSchema(table_name, std::move(columns));
 }
 
-Result<std::vector<cleaning::KeyedRecord>> ReplicationJob::FetchRecords(
-    uint64_t* version) const {
-  NodePtr tree;
+Result<uint64_t> ReplicationJob::OriginVersion() const {
   if (what_.is_view()) {
     const metadata::MediatedView* view = catalog_->view(what_.collection);
     if (view == nullptr) {
       return Status::NotFound("no view '" + what_.collection + "'");
     }
-    NIMBLE_ASSIGN_OR_RETURN(core::QueryResult result,
-                            engine_->ExecuteText(view->query_text));
+    return catalog_->ViewSourcesVersion(*view);
+  }
+  connector::Connector* source = catalog_->source(what_.source);
+  if (source == nullptr) {
+    return Status::NotFound("no source '" + what_.source + "'");
+  }
+  return source->DataVersion();
+}
+
+Result<std::vector<cleaning::KeyedRecord>> ReplicationJob::FetchRecords(
+    uint64_t* version) const {
+  // Version first: a write that lands during the fetch then shows up as an
+  // origin change instead of being recorded as loaded.
+  NIMBLE_ASSIGN_OR_RETURN(*version, OriginVersion());
+  NodePtr tree;
+  if (what_.is_view()) {
+    NIMBLE_ASSIGN_OR_RETURN(
+        core::QueryResult result,
+        engine_->ExecuteText(catalog_->view(what_.collection)->query_text));
     tree = result.document;
-    *version = 0;
-    for (const std::string& src : view->source_dependencies) {
-      connector::Connector* source = catalog_->source(src);
-      if (source != nullptr) *version += source->DataVersion();
-    }
   } else {
-    connector::Connector* source = catalog_->source(what_.source);
-    if (source == nullptr) {
-      return Status::NotFound("no source '" + what_.source + "'");
-    }
-    NIMBLE_ASSIGN_OR_RETURN(tree, source->FetchCollection(what_.collection));
-    *version = source->DataVersion();
+    NIMBLE_ASSIGN_OR_RETURN(tree, catalog_->source(what_.source)
+                                      ->FetchCollection(what_.collection));
   }
   std::vector<cleaning::KeyedRecord> records;
   size_t index = 0;
@@ -94,24 +100,18 @@ Result<ReplicationRunStats> ReplicationJob::Run() {
     stats.values_normalized = cleaned.values_normalized;
   }
 
-  // Full-replace semantics: drop and recreate the replica table.
+  // Full-replace semantics: reuse an existing replica table (emptied) when
+  // its schema is unchanged, else create it.
   relational::TableSchema schema = InferSchema(target_table_, records);
-  if (target_->GetTable(target_table_) != nullptr) {
+  relational::Table* table = target_->GetTable(target_table_);
+  if (table != nullptr) {
     // No DROP TABLE in the SQL subset; emulate by deleting all rows when
     // the schema is unchanged, else fail loudly.
-    relational::Table* existing = target_->GetTable(target_table_);
-    bool same_schema =
-        existing->schema().num_columns() == schema.num_columns();
-    if (same_schema) {
-      for (size_t c = 0; c < schema.num_columns(); ++c) {
-        if (existing->schema().columns()[c].name !=
-                schema.columns()[c].name ||
-            existing->schema().columns()[c].type !=
-                schema.columns()[c].type) {
-          same_schema = false;
-          break;
-        }
-      }
+    bool same_schema = table->schema().num_columns() == schema.num_columns();
+    for (size_t c = 0; same_schema && c < schema.num_columns(); ++c) {
+      same_schema =
+          table->schema().columns()[c].name == schema.columns()[c].name &&
+          table->schema().columns()[c].type == schema.columns()[c].type;
     }
     if (!same_schema) {
       return Status::InvalidArgument(
@@ -119,29 +119,19 @@ Result<ReplicationRunStats> ReplicationJob::Run() {
           "' exists with a different schema; drop it first");
     }
     std::vector<size_t> live_ids;
-    existing->ForEachLiveRow([&](size_t id) { live_ids.push_back(id); });
-    existing->Delete(live_ids);
-    for (const cleaning::KeyedRecord& record : records) {
-      relational::Row row;
-      for (const relational::Column& col : schema.columns()) {
-        auto it = record.fields.find(col.name);
-        row.push_back(it == record.fields.end() ? Value::Null() : it->second);
-      }
-      NIMBLE_RETURN_IF_ERROR(existing->Insert(std::move(row)));
-      ++stats.rows_loaded;
-    }
+    table->ForEachLiveRow([&](size_t id) { live_ids.push_back(id); });
+    table->Delete(live_ids);
   } else {
-    NIMBLE_ASSIGN_OR_RETURN(relational::Table * table,
-                            target_->CreateTable(schema));
-    for (const cleaning::KeyedRecord& record : records) {
-      relational::Row row;
-      for (const relational::Column& col : schema.columns()) {
-        auto it = record.fields.find(col.name);
-        row.push_back(it == record.fields.end() ? Value::Null() : it->second);
-      }
-      NIMBLE_RETURN_IF_ERROR(table->Insert(std::move(row)));
-      ++stats.rows_loaded;
+    NIMBLE_ASSIGN_OR_RETURN(table, target_->CreateTable(schema));
+  }
+  for (const cleaning::KeyedRecord& record : records) {
+    relational::Row row;
+    for (const relational::Column& col : schema.columns()) {
+      auto it = record.fields.find(col.name);
+      row.push_back(it == record.fields.end() ? Value::Null() : it->second);
     }
+    NIMBLE_RETURN_IF_ERROR(table->Insert(std::move(row)));
+    ++stats.rows_loaded;
   }
   last_loaded_version_ = version;
   return stats;
@@ -149,23 +139,7 @@ Result<ReplicationRunStats> ReplicationJob::Run() {
 
 Result<bool> ReplicationJob::OriginChanged() const {
   if (!last_loaded_version_.has_value()) return true;
-  uint64_t version = 0;
-  if (what_.is_view()) {
-    const metadata::MediatedView* view = catalog_->view(what_.collection);
-    if (view == nullptr) {
-      return Status::NotFound("no view '" + what_.collection + "'");
-    }
-    for (const std::string& src : view->source_dependencies) {
-      connector::Connector* source = catalog_->source(src);
-      if (source != nullptr) version += source->DataVersion();
-    }
-  } else {
-    connector::Connector* source = catalog_->source(what_.source);
-    if (source == nullptr) {
-      return Status::NotFound("no source '" + what_.source + "'");
-    }
-    version = source->DataVersion();
-  }
+  NIMBLE_ASSIGN_OR_RETURN(uint64_t version, OriginVersion());
   return version != *last_loaded_version_;
 }
 

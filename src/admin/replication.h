@@ -66,6 +66,10 @@ class ReplicationJob {
   }
 
  private:
+  /// The origin's staleness cookie: the source's DataVersion, or
+  /// Catalog::ViewSourcesVersion for a view.
+  Result<uint64_t> OriginVersion() const;
+  /// Reads the origin's version into `*version`, then its records.
   Result<std::vector<cleaning::KeyedRecord>> FetchRecords(
       uint64_t* version) const;
 

@@ -78,7 +78,9 @@ struct RequestContext {
 /// Mutating registration/administration calls on concrete connectors
 /// (PutDocument, PutCsv, MapCollection, direct Database/HStore writes) must
 /// not race with in-flight queries unless the connector documents
-/// otherwise.
+/// otherwise. Sources that store documents freeze them once when they are
+/// put and share them on every fetch; a write replaces the whole snapshot,
+/// so a reader keeps the version it fetched.
 class Connector {
  public:
   virtual ~Connector() = default;
@@ -94,7 +96,9 @@ class Connector {
   virtual std::vector<std::string> Collections() = 0;
 
   /// Fetches the entire collection as an XML tree whose children are the
-  /// records. The caller owns the returned tree (sources return clones).
+  /// records. The tree is read-only and possibly shared: document sources
+  /// hand out their stored frozen snapshot (Node::Freeze) to every caller
+  /// at once, so Clone() before mutating.
   virtual Result<NodePtr> FetchCollection(const std::string& collection,
                                           const RequestContext& ctx) = 0;
   Result<NodePtr> FetchCollection(const std::string& collection) {

@@ -14,7 +14,8 @@ namespace connector {
 
 /// Serves flat files (CSV with a header row) as record collections — the
 /// "legacy flat file" source class. Fields are type-inferred on ingest,
-/// quoted fields ("a,b" and doubled "" escapes) are supported.
+/// quoted fields ("a,b" and doubled "" escapes) are supported. Each
+/// collection is frozen once by PutCsv and shared on every fetch.
 class CsvConnector : public Connector {
  public:
   explicit CsvConnector(std::string source_name)

@@ -16,9 +16,13 @@ namespace connector {
 /// paper's market (data interchange via XML, §1) centres on. Documents are
 /// registered programmatically or parsed from text.
 ///
-/// Reads (Collections/FetchCollection) take a shared lock and may run
-/// concurrently; Put* take an exclusive lock. MutableDocument hands out a
-/// live tree — mutating it is NOT safe while queries are in flight.
+/// Each document is frozen once when it is put and shared on every fetch:
+/// FetchCollection returns the stored snapshot itself, not a copy. Reads
+/// (Collections/FetchCollection) take a shared lock only long enough to
+/// copy the handle; Put*/Remove take an exclusive lock and swap the whole
+/// snapshot, so they are safe while queries run and a reader keeps the
+/// version it fetched. To edit a document, Clone() a fetched tree, change
+/// the copy and PutDocument it back (copy-on-write).
 class XmlConnector : public Connector {
  public:
   explicit XmlConnector(std::string source_name)
@@ -37,15 +41,14 @@ class XmlConnector : public Connector {
     return version_;
   }
 
-  /// Registers (or replaces) a document under `doc_name`.
+  /// Registers (or replaces) a document under `doc_name` and bumps the
+  /// data version. Freezes `document`: the caller must not mutate it
+  /// afterwards.
   void PutDocument(const std::string& doc_name, NodePtr document);
 
   /// Parses `xml_text` and registers it.
   Status PutDocumentText(const std::string& doc_name,
                          const std::string& xml_text);
-
-  /// Mutable access for update simulations (bumps the data version).
-  NodePtr MutableDocument(const std::string& doc_name);
 
   /// Drops a document (bumps the data version). Returns true when it
   /// existed. Simulates a source-side schema change: plans compiled while
@@ -55,6 +58,7 @@ class XmlConnector : public Connector {
  private:
   const std::string name_;
   mutable SharedMutex doc_mutex_{LockRank::kConnectorData, "xml_connector.docs"};
+  /// Frozen snapshots, handed out as-is by FetchCollection.
   std::map<std::string, NodePtr> documents_ NIMBLE_GUARDED_BY(doc_mutex_);
   uint64_t version_ NIMBLE_GUARDED_BY(doc_mutex_) = 0;
 };

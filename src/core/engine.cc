@@ -342,40 +342,49 @@ Result<QueryResult> IntegrationEngine::ExecuteTextNow(
                              handle_cancel);
   }
 
+  Result<QueryResult> result =
+      CachedExecute(result_cache_.get(), CanonicalizeQueryText(xmlql_text),
+                    [&] {
+                      return ExecuteFragmented(*compiled, query_options,
+                                               queue_wait_micros, nullptr);
+                    });
+  if (result.ok()) result->report.queue_wait_micros = queue_wait_micros;
+  return result;
+}
+
+QueryResult SharedResult(ConstNodePtr snapshot) {
+  QueryResult result;
+  // nimble-lint: frozen(the one zero-copy snapshot seam; the tree stays frozen and callers mutate via QueryResult::MutableDocument which clones)
+  result.document = std::const_pointer_cast<Node>(std::move(snapshot));
+  result.report.result_count = result.document->children().size();
+  Value complete = result.document->GetAttribute("complete");
+  result.report.completeness.complete = !complete.is_bool() || complete.AsBool();
+  return result;
+}
+
+Result<QueryResult> CachedExecute(
+    materialize::ResultCache* cache, const std::string& key,
+    const std::function<Result<QueryResult>()>& execute) {
   QueryResult executed;
   bool ran = false;
-  Result<ConstNodePtr> snapshot = result_cache_->LookupOrCompute(
-      CanonicalizeQueryText(xmlql_text),
+  Result<ConstNodePtr> snapshot = cache->LookupOrCompute(
+      key,
       [&]() -> Result<materialize::ResultCache::Computed> {
-        Result<QueryResult> result = ExecuteFragmented(
-            *compiled, query_options, queue_wait_micros, nullptr);
-        if (!result.ok()) return result.status();
-        executed = std::move(*result);
-        ran = true;
+        NIMBLE_ASSIGN_OR_RETURN(executed, execute());
         materialize::ResultCache::Computed computed;
         computed.document = executed.document;
         // Incomplete answers must not mask the sources' recovery.
         computed.cacheable = executed.report.completeness.complete;
         computed.tags = executed.report.sources_contacted;
         return computed;
-      });
+      },
+      &ran);
   NIMBLE_RETURN_IF_ERROR(snapshot.status());
-  if (ran) {
-    // The leader's document was frozen when it was published; its report is
-    // the real execution report.
-    // nimble-lint: frozen(zero-copy cache seam; callers mutate via QueryResult::MutableDocument which clones)
-    executed.document = std::const_pointer_cast<Node>(*snapshot);
-    return executed;
-  }
-  // Cache hit or singleflight waiter: share the frozen snapshot.
-  QueryResult result;
-  // nimble-lint: frozen(zero-copy cache seam; callers mutate via QueryResult::MutableDocument which clones)
-  result.document = std::const_pointer_cast<Node>(*snapshot);
-  result.report.result_count = result.document->children().size();
+  // The leader's document is the snapshot, frozen in place when it was
+  // published; its report is the real execution report.
+  if (ran) return executed;
+  QueryResult result = SharedResult(*snapshot);
   result.report.served_from_cache = true;
-  result.report.queue_wait_micros = queue_wait_micros;
-  Value complete = result.document->GetAttribute("complete");
-  result.report.completeness.complete = !complete.is_bool() || complete.AsBool();
   return result;
 }
 

@@ -190,20 +190,33 @@ struct ExecutionReport {
 };
 
 /// A query answer: the constructed XML document plus its report. When the
-/// answer was served from a result cache, `document` is a *frozen* shared
-/// snapshot — read it freely, but mutate only through MutableDocument().
+/// answer came from a result cache or a materialized view, `document` is a
+/// *frozen* shared snapshot — read it freely, but mutate only through
+/// MutableDocument().
 struct QueryResult {
   NodePtr document;
   ExecutionReport report;
 
-  /// Copy-on-write escape hatch: if `document` is a frozen cache snapshot,
-  /// replaces it with a private deep copy (detaching from the cache) and
+  /// Copy-on-write escape hatch: if `document` is a frozen snapshot,
+  /// replaces it with a private deep copy (detaching from the sharers) and
   /// returns it; otherwise returns `document` unchanged.
   NodePtr MutableDocument() {
     if (document != nullptr && document->frozen()) document = document->Clone();
     return document;
   }
 };
+
+/// The one seam that turns a shared frozen snapshot into a QueryResult
+/// without copying (result-cache hits, materialized views, shard
+/// fragments); result_count and completeness are read off the snapshot.
+QueryResult SharedResult(ConstNodePtr snapshot);
+
+/// Answers `key` through `cache`'s singleflight. A hit or a waiter gets the
+/// shared snapshot (served_from_cache); the leader runs `execute` and keeps
+/// its report. Only complete answers are stored.
+Result<QueryResult> CachedExecute(
+    materialize::ResultCache* cache, const std::string& key,
+    const std::function<Result<QueryResult>()>& execute);
 
 /// The async side of `Engine::Submit`: a future-like handle for one
 /// submitted query. Wait() blocks until the query completes, is shed by the

@@ -1,5 +1,7 @@
 #include "dist/shard_connector.h"
 
+#include "core/engine.h"
+
 namespace nimble {
 namespace dist {
 
@@ -20,12 +22,6 @@ ConstNodePtr FragmentRegistry::Get(const std::string& source,
   auto it = fragments_.find(Key(source, collection));
   if (it == fragments_.end() || shard >= it->second.size()) return nullptr;
   return it->second[shard];
-}
-
-bool FragmentRegistry::IsSharded(const std::string& source,
-                                 const std::string& collection) const {
-  MutexLock lock(mu_);
-  return fragments_.count(Key(source, collection)) > 0;
 }
 
 std::vector<size_t> FragmentRegistry::FragmentRowCounts(
@@ -58,9 +54,8 @@ Result<NodePtr> ShardSourceConnector::FetchCollection(
   delta.calls = 1;
   delta.rows_shipped = fragment->children().size();
   AddStats(ctx, delta);
-  // Fetch contract: the caller owns the returned tree, so hand out a thawed
-  // clone of the frozen fragment.
-  return fragment->Clone();
+  // Fetch contract: read-only and shared, so the frozen fragment itself.
+  return core::SharedResult(std::move(fragment)).document;
 }
 
 }  // namespace dist

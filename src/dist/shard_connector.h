@@ -34,9 +34,6 @@ class FragmentRegistry {
   ConstNodePtr Get(const std::string& source, const std::string& collection,
                    size_t shard) const NIMBLE_EXCLUDES(mu_);
 
-  bool IsSharded(const std::string& source,
-                 const std::string& collection) const NIMBLE_EXCLUDES(mu_);
-
   /// Per-fragment record counts for one sharded collection (monitor
   /// gauges); empty when unsharded.
   std::vector<size_t> FragmentRowCounts(

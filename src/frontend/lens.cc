@@ -83,47 +83,20 @@ Result<LensResult> LensService::Invoke(
   core::QueryOptions query_options;
   query_options.tenant = target->tenant;
   query_options.priority = target->priority;
-  const std::string cache_key = "lens:" + lens_name + ":" + query;
   if (cache_ != nullptr && target->cacheable) {
     // Singleflight: concurrent identical invocations share one engine
-    // execution. A hit (or a waiter) receives the shared frozen snapshot —
-    // zero-copy; callers mutate via result.raw.MutableDocument().
-    core::QueryResult executed;
-    bool ran = false;
-    Result<ConstNodePtr> snapshot = cache_->LookupOrCompute(
-        cache_key,
-        [&]() -> Result<materialize::ResultCache::Computed> {
-          Result<core::QueryResult> raw =
-              balancer_->Execute(query, query_options);
-          if (!raw.ok()) return raw.status();
-          executed = std::move(*raw);
-          ran = true;
-          materialize::ResultCache::Computed computed;
-          computed.document = executed.document;
-          // Only complete answers are cached: a partial result must not
-          // mask the sources' recovery.
-          computed.cacheable = executed.report.completeness.complete;
-          computed.tags = executed.report.sources_contacted;
-          return computed;
-        });
-    NIMBLE_RETURN_IF_ERROR(snapshot.status());
-    if (ran) {
-      result.raw = std::move(executed);
-      // nimble-lint: frozen(zero-copy cache seam; callers mutate via QueryResult::MutableDocument which clones)
-      result.raw.document = std::const_pointer_cast<Node>(*snapshot);
-    } else {
-      // nimble-lint: frozen(zero-copy cache seam; callers mutate via QueryResult::MutableDocument which clones)
-      result.raw.document = std::const_pointer_cast<Node>(*snapshot);
-      result.raw.report.result_count = result.raw.document->children().size();
-      result.raw.report.served_from_cache = true;
-      result.served_from_cache = true;
-    }
-    result.body = FormatResult(*result.raw.document, target->format);
-    return result;
+    // execution, and a hit (or a waiter) receives the shared frozen
+    // snapshot; callers mutate via result.raw.MutableDocument().
+    NIMBLE_ASSIGN_OR_RETURN(
+        result.raw,
+        core::CachedExecute(cache_, "lens:" + lens_name + ":" + query, [&] {
+          return balancer_->Execute(query, query_options);
+        }));
+    result.served_from_cache = result.raw.report.served_from_cache;
+  } else {
+    NIMBLE_ASSIGN_OR_RETURN(result.raw,
+                            balancer_->Execute(query, query_options));
   }
-
-  NIMBLE_ASSIGN_OR_RETURN(result.raw,
-                          balancer_->Execute(query, query_options));
   result.body = FormatResult(*result.raw.document, target->format);
   return result;
 }

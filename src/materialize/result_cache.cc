@@ -83,13 +83,7 @@ ConstNodePtr ResultCache::Lookup(const std::string& key) {
 void ResultCache::Insert(const std::string& key, const NodePtr& document,
                          std::vector<std::string> tags, int64_t ttl_micros) {
   if (document == nullptr) return;
-  InsertSnapshot(key, document->Freeze(), std::move(tags), ttl_micros);
-}
-
-void ResultCache::InsertSnapshot(const std::string& key, ConstNodePtr snapshot,
-                                 std::vector<std::string> tags,
-                                 int64_t ttl_micros) {
-  if (snapshot == nullptr) return;
+  ConstNodePtr snapshot = document->Freeze();
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
   InsertLocked(shard, key, std::move(snapshot), std::move(tags), ttl_micros);

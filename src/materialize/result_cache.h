@@ -93,11 +93,6 @@ class ResultCache {
   void Insert(const std::string& key, const NodePtr& document,
               std::vector<std::string> tags = {}, int64_t ttl_micros = -1);
 
-  /// As Insert, for an already-frozen snapshot.
-  void InsertSnapshot(const std::string& key, ConstNodePtr snapshot,
-                      std::vector<std::string> tags = {},
-                      int64_t ttl_micros = -1);
-
   /// What a singleflight leader's compute returns.
   struct Computed {
     NodePtr document;            ///< frozen by the cache before publishing.

@@ -1,48 +1,37 @@
 #include "materialize/view_store.h"
 
-#include "xmlql/parser.h"
-
 namespace nimble {
 namespace materialize {
 
 Status MaterializedViewStore::Materialize(
     const std::string& view_name, const MaterializationPolicy& policy) {
-  if (catalog_->view(view_name) == nullptr) {
+  Entry entry;
+  entry.view = catalog_->view(view_name);
+  if (entry.view == nullptr) {
     return Status::NotFound("no view '" + view_name + "' in the catalog");
   }
-  Entry entry;
   entry.policy = policy;
-  NIMBLE_RETURN_IF_ERROR(LoadEntry(view_name, &entry));
+  NIMBLE_RETURN_IF_ERROR(LoadEntry(&entry));
   entries_[view_name] = std::move(entry);
   return Status::OK();
 }
 
-Status MaterializedViewStore::LoadEntry(const std::string& view_name,
-                                        Entry* entry) {
-  const metadata::MediatedView* view = catalog_->view(view_name);
-  if (view == nullptr) return Status::NotFound("no view '" + view_name + "'");
-  Result<core::QueryResult> result = engine_->ExecuteText(view->query_text);
-  if (!result.ok()) return result.status();
-  entry->document = result->document;
-  entry->load_report = result->report;
+Status MaterializedViewStore::LoadEntry(Entry* entry) {
+  // Versions first: a write that lands while the view executes then leaves
+  // the entry stale instead of being recorded as already loaded.
+  const uint64_t version = catalog_->ViewSourcesVersion(*entry->view);
+  NIMBLE_ASSIGN_OR_RETURN(core::QueryResult result,
+                          engine_->ExecuteText(entry->view->query_text));
+  entry->snapshot = result.document->Freeze();
+  entry->load_report = std::move(result.report);
   entry->refreshed_at_micros = clock_->NowMicros();
-  entry->source_versions.clear();
-  for (const std::string& source_name : view->source_dependencies) {
-    connector::Connector* source = catalog_->source(source_name);
-    if (source != nullptr) {
-      entry->source_versions[source_name] = source->DataVersion();
-    }
-  }
+  entry->source_version = version;
   ++stats_.refreshes;
   return Status::OK();
 }
 
 bool MaterializedViewStore::EntryIsStale(const Entry& entry) const {
-  for (const auto& [source_name, version] : entry.source_versions) {
-    connector::Connector* source = catalog_->source(source_name);
-    if (source != nullptr && source->DataVersion() != version) return true;
-  }
-  return false;
+  return catalog_->ViewSourcesVersion(*entry.view) != entry.source_version;
 }
 
 Result<core::QueryResult> MaterializedViewStore::Query(
@@ -72,17 +61,15 @@ Result<core::QueryResult> MaterializedViewStore::Query(
       break;
   }
   if (refresh) {
-    NIMBLE_RETURN_IF_ERROR(LoadEntry(view_name, &entry));
+    NIMBLE_RETURN_IF_ERROR(LoadEntry(&entry));
   }
 
   ++stats_.serves;
   if (EntryIsStale(entry)) ++stats_.stale_serves;
 
-  core::QueryResult result;
-  result.document = entry.document->Clone();
   // A local serve ships no rows and spends no source time; report the
   // result size only.
-  result.report.result_count = result.document->children().size();
+  core::QueryResult result = core::SharedResult(entry.snapshot);
   result.report.completeness = entry.load_report.completeness;
   return result;
 }
@@ -92,7 +79,7 @@ Status MaterializedViewStore::Refresh(const std::string& view_name) {
   if (it == entries_.end()) {
     return Status::NotFound("view '" + view_name + "' is not materialized");
   }
-  return LoadEntry(view_name, &it->second);
+  return LoadEntry(&it->second);
 }
 
 Status MaterializedViewStore::Drop(const std::string& view_name) {
@@ -128,7 +115,7 @@ Result<int64_t> MaterializedViewStore::AgeMicros(
 size_t MaterializedViewStore::StorageCost() const {
   size_t total = 0;
   for (const auto& [view_name, entry] : entries_) {
-    total += entry.document->SubtreeSize();
+    total += entry.snapshot->SubtreeSize();
   }
   return total;
 }

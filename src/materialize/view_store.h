@@ -53,8 +53,9 @@ class MaterializedViewStore {
                      const MaterializationPolicy& policy = {});
 
   /// Serves the view: from the local copy when fresh per policy, else
-  /// refreshing first. Views that were never materialized execute
-  /// virtually through the engine.
+  /// refreshing first. A local serve shares the frozen copy (no clone;
+  /// mutate via QueryResult::MutableDocument). Views that were never
+  /// materialized execute virtually through the engine.
   Result<core::QueryResult> Query(const std::string& view_name);
 
   /// Forces a reload from the sources.
@@ -81,14 +82,17 @@ class MaterializedViewStore {
 
  private:
   struct Entry {
-    NodePtr document;
+    const metadata::MediatedView* view = nullptr;
+    /// The view's answer, frozen at load and shared by every serve.
+    ConstNodePtr snapshot;
     core::ExecutionReport load_report;
     MaterializationPolicy policy;
     int64_t refreshed_at_micros = 0;
-    std::map<std::string, uint64_t> source_versions;
+    /// Catalog::ViewSourcesVersion, read before the load executed.
+    uint64_t source_version = 0;
   };
 
-  Status LoadEntry(const std::string& view_name, Entry* entry);
+  Status LoadEntry(Entry* entry);
   bool EntryIsStale(const Entry& entry) const;
 
   metadata::Catalog* catalog_;

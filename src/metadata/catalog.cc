@@ -195,5 +195,14 @@ Result<std::vector<std::string>> Catalog::TransitiveSources(
   return v->source_dependencies;
 }
 
+uint64_t Catalog::ViewSourcesVersion(const MediatedView& view) const {
+  uint64_t version = 0;
+  for (const std::string& name : view.source_dependencies) {
+    connector::Connector* dependency = source(name);
+    if (dependency != nullptr) version += dependency->DataVersion();
+  }
+  return version;
+}
+
 }  // namespace metadata
 }  // namespace nimble

@@ -57,11 +57,15 @@ class Catalog {
   const MediatedView* view(const std::string& name) const;
   std::vector<std::string> ViewNames() const;
 
-  /// All sources a view depends on, transitively through sub-views.
-  /// Used by the engine for availability pre-checks and by the
-  /// materialization layer for staleness cookies.
+  /// All sources a view depends on, transitively through sub-views
+  /// (its MediatedView::source_dependencies).
   Result<std::vector<std::string>> TransitiveSources(
       const std::string& view_name) const;
+
+  /// A view's staleness cookie: the sum of its sources' (monotone)
+  /// DataVersion(). Read it before loading the view, so a racing write
+  /// shows as a change instead of being recorded as loaded.
+  uint64_t ViewSourcesVersion(const MediatedView& view) const;
 
   // ---- Source-update notifications ---------------------------------------
   //

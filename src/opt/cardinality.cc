@@ -1,6 +1,7 @@
 #include "opt/cardinality.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace nimble {
 namespace opt {
@@ -99,7 +100,18 @@ double EstimateFragmentRows(
     const std::map<std::string, std::string>& variable_columns,
     const std::vector<const xmlql::Condition*>& local_conditions) {
   if (stats.row_count < 0.0) return -1.0;
-  double rows = stats.row_count;
+  // One factor per condition, multiplied in condition order at the end. A
+  // column bounded on both sides gets one interval factor, (hi - lo) /
+  // (max - min), in place of its first bound and 1 for the rest: its bounds
+  // are not independent predicates, and their product overestimates a
+  // narrow range.
+  std::vector<double> factors;
+  struct Bounds {
+    double lo = -HUGE_VAL;
+    double hi = HUGE_VAL;
+    std::vector<size_t> factor_index;
+  };
+  std::map<const metadata::ColumnStats*, Bounds> ranges;
   for (const xmlql::Condition* cond : local_conditions) {
     if (cond == nullptr) continue;
     // Normalize to column-vs-literal: exactly one side a mapped variable.
@@ -137,9 +149,34 @@ double EstimateFragmentRows(
         // Rows where the column is missing/null never pass a comparison.
         selectivity *= (1.0 - column->null_fraction);
       }
+      using Op = xmlql::Condition::Op;
+      if (column != nullptr && op != Op::kEq && op != Op::kNe &&
+          op != Op::kLike && lit_side->literal.is_numeric() &&
+          column->min.is_numeric() && column->max.is_numeric() &&
+          column->max.NumericValue() > column->min.NumericValue()) {
+        Bounds& b = ranges[column];
+        const double v = lit_side->literal.NumericValue();
+        if (op == Op::kGt || op == Op::kGe) {
+          b.lo = std::max(b.lo, v);
+        } else {
+          b.hi = std::min(b.hi, v);
+        }
+        b.factor_index.push_back(factors.size());
+      }
     }
-    rows *= std::min(1.0, std::max(0.0, selectivity));
+    factors.push_back(std::min(1.0, std::max(0.0, selectivity)));
   }
+  for (const auto& [column, b] : ranges) {
+    if (b.lo == -HUGE_VAL || b.hi == HUGE_VAL) continue;
+    for (size_t i : b.factor_index) factors[i] = 1.0;
+    const double min = column->min.NumericValue();
+    const double max = column->max.NumericValue();
+    factors[b.factor_index.front()] =
+        Clamp01((std::min(b.hi, max) - std::max(b.lo, min)) / (max - min)) *
+        (1.0 - column->null_fraction);
+  }
+  double rows = stats.row_count;
+  for (double factor : factors) rows *= factor;
   return rows;
 }
 

@@ -5,10 +5,40 @@
 #include "cleaning/similarity.h"
 #include "connector/relational_connector.h"
 #include "connector/xml_connector.h"
+#include "materialize/view_store.h"
 
 namespace nimble {
 namespace admin {
 namespace {
+
+/// A source written while a load reads it: every fetch first replaces the
+/// document through a copy-on-write put (bumping the data version), then
+/// serves the version it read.
+class WriteDuringFetch : public connector::Connector {
+ public:
+  explicit WriteDuringFetch(std::unique_ptr<connector::XmlConnector> inner)
+      : inner_(std::move(inner)) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  connector::SourceCapabilities capabilities() const override {
+    return inner_->capabilities();
+  }
+  std::vector<std::string> Collections() override {
+    return inner_->Collections();
+  }
+  using connector::Connector::FetchCollection;
+  Result<NodePtr> FetchCollection(
+      const std::string& collection,
+      const connector::RequestContext& ctx) override {
+    Result<NodePtr> read = inner_->FetchCollection(collection, ctx);
+    if (read.ok()) inner_->PutDocument(collection, (*read)->Clone());
+    return read;
+  }
+  uint64_t DataVersion() override { return inner_->DataVersion(); }
+
+ private:
+  std::unique_ptr<connector::XmlConnector> inner_;
+};
 
 class AdminTest : public ::testing::Test {
  protected:
@@ -154,6 +184,51 @@ TEST_F(AdminTest, RerunReplacesReplica) {
       local_->Execute("SELECT COUNT(*) FROM crm_copy");
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->rows[0][0], Value::Int(3));
+}
+
+// A write that lands during a load must not be recorded as loaded: the
+// view store and both replication origins read versions before they fetch,
+// so every local copy reads as stale.
+TEST(SourceVersionTest, WriteDuringLoadLeavesEveryCopyStale) {
+  metadata::Catalog catalog;
+  auto feed = std::make_unique<connector::XmlConnector>("feed");
+  ASSERT_TRUE(
+      feed->PutDocumentText("people", "<people><p><name>Ada</name></p></people>")
+          .ok());
+  ASSERT_TRUE(catalog
+                  .RegisterSource(
+                      std::make_unique<WriteDuringFetch>(std::move(feed)))
+                  .ok());
+  ASSERT_TRUE(catalog
+                  .DefineView("names", R"(
+                    WHERE <people><p><name>$n</name></p></people>
+                          IN "feed:people"
+                    CONSTRUCT <n><name>$n</name></n>
+                  )")
+                  .ok());
+  core::IntegrationEngine engine(&catalog);
+
+  VirtualClock clock;
+  materialize::MaterializedViewStore store(&catalog, &engine, &clock);
+  materialize::MaterializationPolicy manual;
+  manual.refresh = materialize::MaterializationPolicy::Refresh::kManualOnly;
+  ASSERT_TRUE(store.Materialize("names", manual).ok());
+  EXPECT_TRUE(*store.IsStale("names"));
+
+  relational::Database local("local");
+  xmlql::SourceRef source_origin;
+  source_origin.source = "feed";
+  source_origin.collection = "people";
+  xmlql::SourceRef view_origin;
+  view_origin.collection = "names";
+  for (const xmlql::SourceRef& origin : {source_origin, view_origin}) {
+    ReplicationJob job(&catalog, &engine, &local,
+                       origin.is_view() ? "names_copy" : "people_copy", origin);
+    Result<ReplicationRunStats> stats = job.Run();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->rows_loaded, 1u);
+    EXPECT_TRUE(*job.OriginChanged()) << origin.ToString();
+  }
 }
 
 TEST_F(AdminTest, ReplicationUnknownOrigin) {

@@ -202,14 +202,53 @@ TEST(BatchDifferentialTest, PlanShapesAgreeAcrossBatchSizes) {
 
 // ---- Whole-engine differential over generated programs -------------------
 
+/// The old fetch contract as a reference: every fetch hands out a private
+/// deep copy instead of the source's shared frozen snapshot.
+class CloneOnFetch : public connector::Connector {
+ public:
+  explicit CloneOnFetch(std::unique_ptr<connector::Connector> inner)
+      : inner_(std::move(inner)) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  connector::SourceCapabilities capabilities() const override {
+    return inner_->capabilities();
+  }
+  std::vector<std::string> Collections() override {
+    return inner_->Collections();
+  }
+  using connector::Connector::FetchCollection;
+  Result<NodePtr> FetchCollection(
+      const std::string& collection,
+      const connector::RequestContext& ctx) override {
+    Result<NodePtr> tree = inner_->FetchCollection(collection, ctx);
+    if (!tree.ok()) return tree;
+    return (*tree)->Clone();
+  }
+  uint64_t DataVersion() override { return inner_->DataVersion(); }
+
+ private:
+  std::unique_ptr<connector::Connector> inner_;
+};
+
 /// Runs generated XML-QL programs through engines configured at each swept
-/// batch size; outcome (status code) and serialized result document must be
-/// identical everywhere. Reuses the grammar fuzzer's generator so any
-/// fuzzer repro (NIMBLE_FUZZ_SEED/NIMBLE_FUZZ_ITERS) replays here.
+/// batch size, against a reference engine whose XML feed clones every fetch
+/// (the pre-snapshot contract); outcome (status code) and serialized result
+/// document must be identical everywhere. Reuses the grammar fuzzer's
+/// generator so any fuzzer repro (NIMBLE_FUZZ_SEED/NIMBLE_FUZZ_ITERS)
+/// replays here.
 TEST(BatchDifferentialTest, GeneratedProgramsAgreeAcrossEngineBatchSizes) {
   testgen::GeneratorFixture fixture = testgen::MakeGeneratorFixture();
   ASSERT_NE(fixture.catalog, nullptr) << "generator fixture setup failed";
+  testgen::GeneratorFixture cloning = testgen::MakeGeneratorFixture(
+      [](std::unique_ptr<connector::Connector> feed)
+          -> std::unique_ptr<connector::Connector> {
+        return std::make_unique<CloneOnFetch>(std::move(feed));
+      });
+  ASSERT_NE(cloning.catalog, nullptr) << "generator fixture setup failed";
 
+  EngineOptions reference_opts;
+  reference_opts.verify_plans = true;
+  IntegrationEngine reference_engine(cloning.catalog.get(), reference_opts);
   std::vector<std::unique_ptr<IntegrationEngine>> engines;
   for (size_t batch_size : kBatchSizes) {
     EngineOptions opts;
@@ -225,13 +264,13 @@ TEST(BatchDifferentialTest, GeneratedProgramsAgreeAcrossEngineBatchSizes) {
   for (size_t i = 0; i < iters; ++i) {
     const std::string text = testgen::GenProgram(rng);
 
-    Result<QueryResult> reference = engines.back()->ExecuteText(text);
+    Result<QueryResult> reference = reference_engine.ExecuteText(text);
     std::string reference_xml;
     if (reference.ok()) {
       ++executed;
       reference_xml = ToXml(*reference->document);
     }
-    for (size_t e = 0; e + 1 < engines.size(); ++e) {
+    for (size_t e = 0; e < engines.size(); ++e) {
       Result<QueryResult> got = engines[e]->ExecuteText(text);
       ASSERT_EQ(got.ok(), reference.ok())
           << "batch_size=" << kBatchSizes[e] << " outcome diverges at iter "

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 
 #include "algebra/operators.h"
@@ -12,6 +13,7 @@
 #include "frontend/lens.h"
 #include "frontend/load_balancer.h"
 #include "materialize/result_cache.h"
+#include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace nimble {
@@ -410,6 +412,77 @@ TEST_F(ConcurrencyTest, UnionReportKeepsEveryBranchPlan) {
   EXPECT_NE(r->report.plan.find("-- branch 1 --"), std::string::npos);
   EXPECT_NE(r->report.plan.find("wh:stock"), std::string::npos);
   EXPECT_NE(r->report.plan.find("rev:reviews"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Shared source snapshots under writes (run under TSan and ASan in CI).
+
+// Readers query an XML source while a writer keeps replacing its document
+// through PutDocument. Fetches share the stored frozen tree, so every answer
+// must be the bytes of one whole version: a reader keeps the snapshot it
+// fetched alive even after the writer has swapped it out.
+TEST(SourceSnapshotConcurrencyTest, ReadersSeeWholeVersionsWhileWriterPuts) {
+  constexpr int kVersions = 6;
+  std::vector<NodePtr> versions;
+  for (int v = 0; v < kVersions; ++v) {
+    std::string xml = "<stock>";
+    for (int i = 0; i <= v * 3; ++i) {
+      xml += "<item sku=\"s" + std::to_string(i) + "\"><on_hand>" +
+             std::to_string(v * 10 + i) + "</on_hand></item>";
+    }
+    Result<NodePtr> doc = ParseXml(xml + "</stock>");
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    versions.push_back(*doc);
+  }
+  metadata::Catalog catalog;
+  auto owned = std::make_unique<connector::XmlConnector>("wh");
+  connector::XmlConnector* wh = owned.get();
+  ASSERT_TRUE(catalog.RegisterSource(std::move(owned)).ok());
+  core::IntegrationEngine engine(&catalog);
+  constexpr char kQuery[] = R"(
+    WHERE <stock><item sku=$s><on_hand>$h</on_hand></item></stock>
+            IN "wh:stock", $h > 0
+    CONSTRUCT <hit><sku>$s</sku><h>$h</h></hit>
+  )";
+
+  // The answer bytes of each version, one at a time.
+  std::set<std::string> expected;
+  for (const NodePtr& doc : versions) {
+    wh->PutDocument("stock", doc);
+    Result<core::QueryResult> r = engine.ExecuteText(kQuery);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    expected.insert(ToXml(*r->document));
+  }
+  ASSERT_EQ(expected.size(), static_cast<size_t>(kVersions));
+
+  constexpr int kReaders = 4;
+  constexpr int kQueriesPerReader = 200;
+  std::atomic<int> readers_done{0};
+  std::atomic<int> failures{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&] {
+      for (int q = 0; q < kQueriesPerReader; ++q) {
+        Result<core::QueryResult> r = engine.ExecuteText(kQuery);
+        if (!r.ok()) {
+          failures.fetch_add(1);
+        } else if (expected.count(ToXml(*r->document)) == 0) {
+          mismatches.fetch_add(1);
+        }
+      }
+      readers_done.fetch_add(1);
+    });
+  }
+  size_t puts = 0;
+  while (readers_done.load() < kReaders) {
+    wh->PutDocument("stock", versions[puts++ % kVersions]);
+    std::this_thread::yield();
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(puts, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -66,10 +66,15 @@ TEST(XmlConnectorTest, PutFetchClone) {
   ASSERT_TRUE(conn.PutDocumentText("books", "<books><b>1</b></books>").ok());
   Result<NodePtr> first = conn.FetchCollection("books");
   ASSERT_TRUE(first.ok());
-  // Mutating the fetched clone must not affect the stored document.
-  (*first)->AddChild(Node::Element("extra"));
+  // Fetches share the stored frozen snapshot; a clone is a private copy.
+  EXPECT_TRUE((*first)->frozen());
+  NodePtr copy = (*first)->Clone();
+  EXPECT_FALSE(copy->frozen());
+  // Editing the clone must not affect the stored document.
+  copy->AddChild(Node::Element("extra"));
   Result<NodePtr> second = conn.FetchCollection("books");
   ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->get(), first->get());
   EXPECT_EQ((*second)->children().size(), 1u);
 }
 
@@ -85,14 +90,22 @@ TEST(XmlConnectorTest, MissingDocument) {
             StatusCode::kNotFound);
 }
 
-TEST(XmlConnectorTest, MutableDocumentBumpsVersion) {
+TEST(XmlConnectorTest, CopyOnWritePutBumpsVersion) {
   XmlConnector conn("docs");
   ASSERT_TRUE(conn.PutDocumentText("d", "<d/>").ok());
   uint64_t v0 = conn.DataVersion();
-  NodePtr doc = conn.MutableDocument("d");
-  ASSERT_NE(doc, nullptr);
+  Result<NodePtr> stored = conn.FetchCollection("d");
+  ASSERT_TRUE(stored.ok());
+  NodePtr doc = (*stored)->Clone();
+  doc->AddChild(Node::Element("e"));
+  conn.PutDocument("d", std::move(doc));
   EXPECT_GT(conn.DataVersion(), v0);
-  EXPECT_EQ(conn.MutableDocument("nope"), nullptr);
+  Result<NodePtr> edited = conn.FetchCollection("d");
+  ASSERT_TRUE(edited.ok());
+  EXPECT_TRUE((*edited)->frozen());
+  EXPECT_EQ((*edited)->children().size(), 1u);
+  // A reader that fetched before the put keeps the version it fetched.
+  EXPECT_TRUE((*stored)->children().empty());
 }
 
 TEST(HierarchicalConnectorTest, MappedCollections) {

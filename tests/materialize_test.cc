@@ -357,6 +357,15 @@ TEST_F(ViewStoreTest, MaterializedServeShipsNothing) {
   EXPECT_EQ(result->report.result_count, 2u);
   EXPECT_EQ(result->report.rows_shipped, 0u);  // local copy
   EXPECT_EQ(result->report.source_latency_micros, 0);
+  // Serves share the frozen local copy; a caller that edits gets its own.
+  Result<core::QueryResult> again = store_->Query("people");
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(result->document->frozen());
+  EXPECT_EQ(again->document, result->document);
+  NodePtr edited = again->MutableDocument();
+  EXPECT_NE(edited, result->document);
+  edited->AddChild(Node::Element("extra"));
+  EXPECT_EQ(result->document->children().size(), 2u);
 }
 
 TEST_F(ViewStoreTest, OnStaleRefreshPicksUpSourceChanges) {

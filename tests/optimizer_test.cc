@@ -311,6 +311,10 @@ TEST_F(OptimizerEngineTest, RootMisestimateKeepsCachedPlans) {
   Result<core::QueryResult> first = engine_->ExecuteText(q);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first->report.result_count, 1u);
+  // Both bounds fold into one interval: (11 - 10) / (1999 - 0) of 2,000 rows.
+  EXPECT_NE(first->report.plan_with_stats.find("est_rows=1,"),
+            std::string::npos)
+      << first->report.plan_with_stats;
   Must(engine_->ExecuteText(q));
   EXPECT_EQ(catalog_->statistics().epoch(), epoch_before)
       << first->report.plan_with_stats;

@@ -2,6 +2,7 @@
 #define NIMBLE_TESTS_QUERY_GENERATOR_H_
 
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,9 +33,15 @@ struct GeneratorFixture {
   std::unique_ptr<metadata::Catalog> catalog;
 };
 
+/// Wraps a source before it is registered (decorator hook for tests).
+using SourceWrapper = std::function<std::unique_ptr<connector::Connector>(
+    std::unique_ptr<connector::Connector>)>;
+
 /// Builds the catalog the grammar below generates queries against. Returns
 /// a fixture with a null catalog if any setup step fails (callers assert).
-inline GeneratorFixture MakeGeneratorFixture() {
+/// `wrap_feed`, when set, decorates the XML feed source.
+inline GeneratorFixture MakeGeneratorFixture(
+    const SourceWrapper& wrap_feed = nullptr) {
   GeneratorFixture fx;
   fx.db = std::make_unique<relational::Database>("db");
   if (!fx.db->Execute("CREATE TABLE t (a INT PRIMARY KEY, b TEXT, c DOUBLE)")
@@ -46,8 +53,9 @@ inline GeneratorFixture MakeGeneratorFixture() {
     return fx;
   }
 
-  auto feed = std::make_unique<connector::XmlConnector>("feed");
-  if (!feed->PutDocumentText(
+  std::unique_ptr<connector::XmlConnector> xml_feed =
+      std::make_unique<connector::XmlConnector>("feed");
+  if (!xml_feed->PutDocumentText(
               "products",
               "<products>"
               "<product><title>alpha</title><price>9.5</price></product>"
@@ -56,6 +64,8 @@ inline GeneratorFixture MakeGeneratorFixture() {
            .ok()) {
     return fx;
   }
+  std::unique_ptr<connector::Connector> feed = std::move(xml_feed);
+  if (wrap_feed) feed = wrap_feed(std::move(feed));
 
   auto catalog = std::make_unique<metadata::Catalog>();
   if (!catalog
